@@ -31,7 +31,7 @@ def main():
         elapsed = time.perf_counter() - t0
         assert trace.final == right_chain(n)
         ratio = f"  ({elapsed / previous:.2f}x the previous n)" if previous else ""
-        print(f"  {n:>9} {len(trace.steps):>9} {elapsed:>8.3f}{ratio}")
+        print(f"  {n:>9} {trace.step_count:>9} {elapsed:>8.3f}{ratio}")
         previous = elapsed
 
     print()

@@ -1,8 +1,9 @@
 """Command-line interface: normalize, trace, measure, enumerate, verify, graph.
 
 Exit codes: 0 on success (and all checks passing), 1 when ``verify`` finds a
-failing report, 2 on usage or term-syntax errors.  Stdout carries data only;
-diagnostics go to stderr.  Identical invocations print identical bytes.
+failing report, 2 on usage, term-syntax and file errors, with one ``error:``
+line and no traceback.  Stdout carries data only; diagnostics go to stderr.
+Identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import sys
 from .oracle import (
     ENUMERATION_CAP,
     GRAPH_CAP,
-    CapExceeded,
     build_graph,
     enumerate_shapes,
     export_dot,
@@ -22,20 +22,23 @@ from .oracle import (
     verify_all,
 )
 from .rewrite import STRATEGIES, format_position, normalize
-from .terms import ParseError, measure, parse, render
+from .terms import measure, parse, render
 
 __all__ = ["main"]
 
 
 def _cmd_nf(args: argparse.Namespace) -> int:
     if args.file is not None:
-        with open(args.file, encoding="utf-8") as fh:
-            texts = [line.strip() for line in fh if line.strip()]
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                texts = [line.strip() for line in fh if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{args.file} is not UTF-8 text: {exc.reason}") from None
     else:
         texts = [args.term]
     for text in texts:
         trace = normalize(parse(text), "shortest")
-        print(f"{render(trace.final)}\tsteps={len(trace.steps)}")
+        print(f"{render(trace.final)}\tsteps={trace.step_count}")
     return 0
 
 
@@ -46,7 +49,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         for step in trace.steps:
             print(f"{format_position(step.position)} ⊳ {render(step.term_after)}")
         print(f"final {render(trace.final)}")
-    print(f"steps={len(trace.steps)}")
+    print(f"steps={trace.step_count}")
     return 0
 
 
@@ -166,12 +169,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "nf" and (args.term is None) == (args.file is None):
         parser.error("nf needs a term argument or --file, not both")
+    if args.command == "verify" and args.max_n < 0:
+        parser.error("--max-n must be nonnegative")
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceeded as exc:
+    except (OSError, ValueError) as exc:
+        # ParseError, CapExceeded, a negative size and undecodable --file
+        # text are all ValueErrors; OSError is a file that cannot be opened.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,10 +8,21 @@ unique normal form (the right chain over the term's leaves in order).
 Two strategies are provided with exact step counts:
 
 * :func:`normalize_shortest` rotates as close to the root as possible and
-  reaches the normal form in ``size(t) - depth_rightmost(t)`` steps, visiting
-  O(size) nodes in total.
+  reaches the normal form in ``size(t) - depth_rightmost(t)`` steps, in O(size)
+  time and memory for every shape.
 * :func:`normalize_longest` rotates at the deepest redex (leftmost on ties)
-  and takes exactly ``sigma(t)`` steps, each lowering ``sigma`` by 1.
+  and takes exactly ``sigma(t)`` steps, each lowering ``sigma`` by 1.  It also
+  runs in O(size) time and memory: the step count is ``sigma(t)`` and the
+  normal form is unique, so neither needs the steps themselves.
+
+Both return a :class:`Trace` that holds the start term, the normal form and
+the step count, never the intermediate terms.  Its ``steps`` view replays the
+steps with :func:`apply_at` each time it is iterated, deriving the positions
+from the start term: O(size) per step, as printing each term costs anyway.
+
+All rotations of immutable terms go through one kernel, ``_rotate``: the
+single steps :func:`apply_at` and :func:`step_shortest`, and the cursor loop
+behind both strategies' normal forms.
 
 Positions are strings over ``L``/``R`` read from the root; the empty string
 is the root and prints as ``ε``.  When redexes are listed or chosen, deeper
@@ -20,9 +31,11 @@ positions come first and ties break lexicographically with ``L < R``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice, repeat
 
-from .terms import Leaf, Node, Term
+from .terms import Leaf, Node, Term, sigma
 
 __all__ = [
     "Position",
@@ -87,17 +100,62 @@ class Step:
 class Trace:
     """A rewrite sequence from ``start`` to its normal form ``final``.
 
-    Replaying ``steps`` with :func:`apply_at` from ``start`` reproduces every
-    intermediate term and ``final`` exactly.
+    Holds no intermediate term and no position: ``step_count`` is stored,
+    and :attr:`steps` is a read-only view that replays the sequence from
+    ``start`` with :func:`apply_at` each time it is iterated, so keeping a
+    trace costs nothing beyond ``start`` and ``final``.
     """
 
     start: Term
-    steps: tuple[Step, ...]
     final: Term
+    strategy: str
+    step_count: int
 
     @property
-    def step_count(self) -> int:
-        return len(self.steps)
+    def steps(self) -> Steps:
+        """The steps in order, rebuilt on demand; ``len`` is O(1)."""
+        return Steps(self)
+
+
+class Steps(Sequence):
+    """Read-only view of a :class:`Trace`'s steps, replayed from its start.
+
+    Iterating streams one :class:`Step` at a time, so only the current term
+    is alive.  Indexing replays up to the index.  Compares equal to any
+    tuple, list or view holding the same steps.
+    """
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return self._trace.step_count
+
+    def __iter__(self) -> Iterator[Step]:
+        cur = self._trace.start
+        for p in _POSITIONS[self._trace.strategy](cur):
+            cur = apply_at(cur, p)
+            yield Step(p, cur)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("step index out of range")
+        return next(islice(self, index, None))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Steps, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} {self._trace.strategy} steps>"
 
 
 def find_redexes(t: Term) -> list[Position]:
@@ -118,6 +176,12 @@ def find_redexes(t: Term) -> list[Position]:
     return found
 
 
+def _rotate(redex: Node) -> Node:
+    """The rotation kernel: ``(x*y)*z -> x*(y*z)``; ``redex.left`` is a node."""
+    inner = redex.left
+    return Node(inner.left, Node(inner.right, redex.right))  # type: ignore[union-attr]
+
+
 def apply_at(t: Term, p: Position) -> Term:
     """Rewrite ``(x*y)*z -> x*(y*z)`` at position ``p`` of ``t``.
 
@@ -135,14 +199,33 @@ def apply_at(t: Term, p: Position) -> Term:
         cur = cur.left if ch == "L" else cur.right
     if not isinstance(cur, Node) or not isinstance(cur.left, Node):
         raise NotARedex(p)
-    inner = cur.left
-    result: Term = Node(inner.left, Node(inner.right, cur.right))
-    for parent, ch in zip(reversed(spine), reversed(p)):
-        if ch == "L":
+    result: Term = _rotate(cur)
+    while spine:
+        parent = spine.pop()
+        if p[len(spine)] == "L":
             result = Node(result, parent.right)
         else:
             result = Node(parent.left, result)
     return result
+
+
+def _descend(focus: Term, lefts: list[Term]) -> Term:
+    """Walk down the right spine past nodes whose left child is a leaf.
+
+    Appends those leaves to ``lefts`` and returns the first subterm that is a
+    leaf or has a node as its left child: the shortest strategy's redex.
+    """
+    while isinstance(focus, Node) and isinstance(focus.left, Leaf):
+        lefts.append(focus.left)
+        focus = focus.right
+    return focus
+
+
+def _reattach(lefts: list[Term], focus: Term) -> Term:
+    """Hang ``focus`` back under the right spine whose left leaves are ``lefts``."""
+    for left in reversed(lefts):
+        focus = Node(left, focus)
+    return focus
 
 
 def step_shortest(t: Term) -> tuple[Term, Position] | None:
@@ -152,21 +235,92 @@ def step_shortest(t: Term) -> tuple[Term, Position] | None:
     fires at the first node whose left child is a node.  Returns ``None``
     iff ``t`` is already in normal form; otherwise ``(rewritten, position)``,
     and the rewrite is guaranteed to push the rightmost leaf exactly one
-    edge deeper.
+    edge deeper.  This is one step of the loop in :func:`normalize_shortest`.
     """
-    spine: list[Node] = []
-    cur = t
-    while isinstance(cur, Node) and isinstance(cur.left, Leaf):
-        spine.append(cur)
-        cur = cur.right
-    if not isinstance(cur, Node):
+    lefts: list[Term] = []
+    focus = _descend(t, lefts)
+    if not isinstance(focus, Node):
         return None
-    inner = cur.left
-    result: Term = Node(inner.left, Node(inner.right, cur.right))
-    position = "R" * len(spine)
-    for parent in reversed(spine):
-        result = Node(parent.left, result)
-    return result, position
+    return _reattach(lefts, _rotate(focus)), "R" * len(lefts)
+
+
+def _normalize_spine(t: Term) -> tuple[Term, list[tuple[int, int]]]:
+    """The shortest strategy in O(size(t)): its normal form and its steps.
+
+    A cursor walks down the right spine once.  Its focus stays at the same
+    depth ``k`` while it rotates and moves down only past a leaf left child,
+    so each node is entered once and the spine above the focus is rebuilt
+    only at the end.  The steps come back as runs ``(k, count)``: ``count``
+    consecutive rotations at position ``R^k``, with ``k`` increasing.
+    """
+    lefts: list[Term] = []
+    runs: list[tuple[int, int]] = []
+    focus = _descend(t, lefts)
+    while isinstance(focus, Node):
+        count = 0
+        while isinstance(focus.left, Node):
+            focus = _rotate(focus)
+            count += 1
+        runs.append((len(lefts), count))
+        focus = _descend(focus, lefts)
+    return (_reattach(lefts, focus) if runs else t), runs
+
+
+def _shortest_positions(t: Term) -> Iterator[Position]:
+    """Positions of the shortest strategy, replayed by its cursor loop."""
+    for k, count in _normalize_spine(t)[1]:
+        yield from repeat("R" * k, count)
+
+
+def _longest_positions(t: Term) -> Iterator[Position]:
+    """Positions of the deepest-leftmost strategy, from ``t`` alone.
+
+    Take the redexes of ``t`` deepest level first, left to right within a
+    level.  Each redex ``p`` then fires at ``p, pR, ..., pR^(size(p.left)-1)``:
+    when ``p`` is reached, the subterms below it are already right chains,
+    so each rotation there has a leaf left-left subtree and the only redex
+    it creates is one step further down the right spine.  Rotations inside
+    ``p`` move no node outside it, so the later redexes keep their positions
+    and their left subtrees keep their sizes.  O(size(t)) work besides the
+    positions themselves.
+    """
+    # Internal nodes in level order, with parent index and side; levels[d]
+    # is the index range of depth d.
+    nodes = [t] if isinstance(t, Node) else []
+    parent, went_left = [-1], [False]
+    levels = []
+    lo = 0
+    while lo < len(nodes):
+        levels.append(range(lo, len(nodes)))
+        for i in levels[-1]:
+            x = nodes[i]
+            for child, is_left in ((x.left, True), (x.right, False)):
+                if isinstance(child, Node):
+                    nodes.append(child)
+                    parent.append(i)
+                    went_left.append(is_left)
+        lo = levels[-1].stop
+    # Children follow their parents, so a reverse sweep totals subtree sizes.
+    sizes = [1] * len(nodes)
+    left_size = [0] * len(nodes)
+    for i in range(len(nodes) - 1, 0, -1):
+        sizes[parent[i]] += sizes[i]
+        if went_left[i]:
+            left_size[parent[i]] = sizes[i]
+    for level in reversed(levels):
+        for i in level:
+            if left_size[i]:
+                path = []
+                j = i
+                while j:
+                    path.append("L" if went_left[j] else "R")
+                    j = parent[j]
+                p = "".join(reversed(path))
+                for extra in range(left_size[i]):
+                    yield p + "R" * extra
+
+
+_POSITIONS = {"shortest": _shortest_positions, "longest": _longest_positions}
 
 
 def normalize_shortest(t: Term) -> Trace:
@@ -175,28 +329,10 @@ def normalize_shortest(t: Term) -> Trace:
     Takes exactly ``size(t) - depth_rightmost(t)`` steps.  Equivalent to
     iterating :func:`step_shortest` to a fixpoint, but keeps a cursor into
     the term so the already-validated prefix of the rightmost path is never
-    rescanned: total node visits are O(size(t)).
+    rescanned, and builds the normal form once: O(size(t)) time and memory.
     """
-    # spine holds the validated prefix: right-spine ancestors whose left
-    # child is a leaf.  A rotation leaves the focus at the same depth, so
-    # only newly entered nodes are ever examined.
-    spine: list[Node] = []
-    focus = t
-    steps: list[Step] = []
-    while True:
-        while isinstance(focus, Node) and isinstance(focus.left, Leaf):
-            spine.append(focus)
-            focus = focus.right
-        if not isinstance(focus, Node):
-            break
-        inner = focus.left
-        focus = Node(inner.left, Node(inner.right, focus.right))
-        snapshot: Term = focus
-        for parent in reversed(spine):
-            snapshot = Node(parent.left, snapshot)
-        steps.append(Step("R" * len(spine), snapshot))
-    final = steps[-1].term_after if steps else t
-    return Trace(start=t, steps=tuple(steps), final=final)
+    final, runs = _normalize_spine(t)
+    return Trace(t, final, "shortest", sum(count for _, count in runs))
 
 
 def normalize_longest(t: Term) -> Trace:
@@ -205,17 +341,10 @@ def normalize_longest(t: Term) -> Trace:
     The chosen redex always has a leaf as its left-left subtree, so every
     step lowers ``sigma`` by exactly 1 and the trace has exactly
     ``sigma(t)`` steps: the longest rewrite sequence that exists for ``t``.
+    The normal form is unique, so it is built by the same cursor loop as
+    the shortest strategy's: O(size(t)) time and memory.
     """
-    steps: list[Step] = []
-    cur = t
-    while True:
-        redexes = find_redexes(cur)
-        if not redexes:
-            break
-        p = redexes[0]
-        cur = apply_at(cur, p)
-        steps.append(Step(p, cur))
-    return Trace(start=t, steps=tuple(steps), final=cur)
+    return Trace(t, _normalize_spine(t)[0], "longest", sigma(t))
 
 
 STRATEGIES = ("shortest", "longest")

@@ -1,11 +1,14 @@
-"""Small self-contained oracles for the tests.
+"""Small self-contained oracles and input generators for the tests.
 
-Everything here is written as the plainest possible recursion or recurrence,
-independent of the library's iterative implementations, so tests can compare
-the two sides.  Only meant for small terms.
+The measures and shapes here are written as the plainest possible recursion
+or recurrence, independent of the library's iterative implementations, so
+tests can compare the two sides; they are only meant for small terms.  The
+reference strategies replay each step the slow, obvious way.  The large
+shape generators at the end are iterative.
 """
 
-from assocnf.terms import Leaf, Node
+from assocnf.rewrite import apply_at, find_redexes
+from assocnf.terms import Leaf, Node, left_chain
 
 
 def catalan_counts(n_max):
@@ -74,3 +77,91 @@ def with_indexed_leaves(t, prefix="x"):
         return Node(go(t.left), go(t.right))
 
     return go(t)
+
+
+def reference_shortest(t):
+    """The shortest strategy one snapshot at a time: ``[(position, term_after)]``.
+
+    Keeps a cursor down the right spine and rebuilds the whole spine above it
+    after every rotation, so it costs O(size * depth) on deep spines.
+    """
+    spine = []
+    focus = t
+    steps = []
+    while True:
+        while isinstance(focus, Node) and isinstance(focus.left, Leaf):
+            spine.append(focus)
+            focus = focus.right
+        if not isinstance(focus, Node):
+            return steps
+        inner = focus.left
+        focus = Node(inner.left, Node(inner.right, focus.right))
+        snapshot = focus
+        for parent in reversed(spine):
+            snapshot = Node(parent.left, snapshot)
+        steps.append(("R" * len(spine), snapshot))
+
+
+def reference_longest(t):
+    """The longest strategy by search: ``[(position, term_after)]``.
+
+    Every step lists all redexes and fires at the first one (deepest, then
+    leftmost), so it costs O(size log size) per step.
+    """
+    steps = []
+    while True:
+        redexes = find_redexes(t)
+        if not redexes:
+            return steps
+        t = apply_at(t, redexes[0])
+        steps.append((redexes[0], t))
+
+
+def remy_shape(n, rng):
+    """Uniformly random shape with ``n`` internal nodes (Rémy 1985), iteratively.
+
+    Grows a tree one internal node at a time: pick one of the ``2i+1``
+    existing nodes uniformly, put a new node in its place and hang the
+    picked node and a new leaf under it, on a random side.
+    """
+    left = [-1] * (2 * n + 1)
+    right = [-1] * (2 * n + 1)
+    parent = [-1] * (2 * n + 1)
+    root = 0
+    for i in range(n):
+        x = rng.randrange(2 * i + 1)
+        node, leaf = 2 * i + 1, 2 * i + 2
+        p = parent[x]
+        if p == -1:
+            root = node
+        elif left[p] == x:
+            left[p] = node
+        else:
+            right[p] = node
+        parent[node] = p
+        if rng.random() < 0.5:
+            left[node], right[node] = x, leaf
+        else:
+            left[node], right[node] = leaf, x
+        parent[x] = parent[leaf] = node
+    # Preorder puts parents before children; build terms in reverse of it.
+    order = []
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        if left[x] != -1:
+            stack.append(left[x])
+            stack.append(right[x])
+    built = [None] * (2 * n + 1)
+    for x in reversed(order):
+        built[x] = Leaf(None) if left[x] == -1 else Node(built[left[x]], built[right[x]])
+    return built[root]
+
+
+def comb_shape(k, m):
+    """A right spine of ``k`` nodes with leaf left children over ``left_chain(m)``."""
+    t = left_chain(m)
+    for _ in range(k):
+        t = Node(Leaf(None), t)
+    return t

@@ -34,8 +34,10 @@ from assocnf.terms import (
 
 from helpers import (
     catalan_counts,
+    comb_shape,
     leaves_in_order,
     random_shape,
+    remy_shape,
     right_chain_over,
     subterm_at,
     with_indexed_leaves,
@@ -191,17 +193,18 @@ def test_criterion_6_single_step_depth_gain():
     )
 
 
-def _timed_normalize(n):
-    # best of three with GC paused, so the ratio reflects the algorithm
+def _timed_normalize(t, gc_enabled=False):
+    # best of three, GC paused unless asked for, so the ratio reflects the
+    # algorithm
     best = None
     trace = None
     for _ in range(3):
-        chain = left_chain(n)
         gc.collect()
-        gc.disable()
+        if not gc_enabled:
+            gc.disable()
         try:
             t0 = time.perf_counter()
-            trace = normalize_shortest(chain)
+            trace = normalize_shortest(t)
             elapsed = time.perf_counter() - t0
         finally:
             gc.enable()
@@ -210,11 +213,11 @@ def _timed_normalize(n):
 
 
 def test_criterion_7_linear_time_on_huge_chains():
-    trace1, t1 = _timed_normalize(100_000)
+    trace1, t1 = _timed_normalize(left_chain(100_000))
     assert len(trace1.steps) == 99_999
     assert trace1.final == right_chain(100_000)
 
-    trace2, t2 = _timed_normalize(200_000)
+    trace2, t2 = _timed_normalize(left_chain(200_000))
     assert len(trace2.steps) == 199_999
     assert trace2.final == right_chain(200_000)
 
@@ -225,6 +228,35 @@ def test_criterion_7_linear_time_on_huge_chains():
         f"PASS criterion 7: left_chain(100000) -> right chain in 99999 steps "
         f"({t1:.2f}s); doubling n scaled by {t2 / t1:.2f}x"
     )
+
+
+SHAPE_FAMILIES = {
+    "remy": lambda n: remy_shape(n, random.Random(SEED + n)),
+    "comb": lambda n: comb_shape(n // 2, n - n // 2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SHAPE_FAMILIES))
+def test_criterion_7_linear_time_on_random_shapes_and_combs(family):
+    # the left chain's bounds, on shapes where the cursor passes many nodes
+    # with a leaf left child: a uniform random shape, and a right spine over
+    # a left chain of the same size
+    times = {False: [], True: []}
+    for n in (100_000, 200_000):
+        t = SHAPE_FAMILIES[family](n)
+        for gc_enabled, timed in times.items():
+            trace, elapsed = _timed_normalize(t, gc_enabled)
+            timed.append(elapsed)
+        assert trace.step_count == size(t) - depth_rightmost(t)
+        assert trace.final == right_chain(n)
+    for gc_enabled, (t1, t2) in times.items():
+        gc_mode = "on" if gc_enabled else "off"
+        assert t1 < 2.0, f"GC {gc_mode}: normalization took {t1:.2f}s at n=100000"
+        assert t2 <= 2.5 * t1 + 0.3, f"GC {gc_mode}: t1={t1:.3f}s t2={t2:.3f}s"
+        print(
+            f"PASS criterion 7: {family} shape of 100000 nodes -> right chain "
+            f"with GC {gc_mode} ({t1:.2f}s); doubling n scaled by {t2 / t1:.2f}x"
+        )
 
 
 def test_criterion_8_enumeration_matches_catalan_recurrence():

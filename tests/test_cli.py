@@ -49,6 +49,24 @@ def test_nf_batch_file(tmp_path, capsys):
     assert out == "(a*(b*(c*d)))\tsteps=2\n(a*b)\tsteps=0\n"
 
 
+def test_nf_missing_file_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "nf", "--file", str(tmp_path / "missing.txt"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "missing.txt" in err
+
+
+def test_nf_undecodable_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("(caf\xe9*b)\n".encode("latin-1"))
+    code, out, err = run(capsys, "nf", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not UTF-8" in err
+
+
 def test_nf_requires_exactly_one_input(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["nf"])
@@ -127,6 +145,13 @@ def test_enumerate_cap_exceeded(capsys):
     assert "cap" in err
 
 
+def test_enumerate_negative_size_exits_2(capsys):
+    code, out, err = run(capsys, "enumerate", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: shape size must be nonnegative\n"
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "4")
     assert code == 0
@@ -162,6 +187,15 @@ def test_verify_writes_records(tmp_path, capsys):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert {r["term"] for r in records} >= {"((.*.)*.)", "(.*(.*.))"}
     assert all(set(r) == {"term", "n", "sigma", "d_rm", "longest", "shortest"} for r in records)
+
+
+def test_verify_negative_max_n_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--max-n", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --max-n must be nonnegative" in captured.err
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
@@ -200,3 +234,10 @@ def test_graph_cap_exceeded(capsys):
     code, _, err = run(capsys, "graph", "13")
     assert code == 2
     assert "cap" in err
+
+
+def test_graph_negative_size_exits_2(capsys):
+    code, out, err = run(capsys, "graph", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: shape size must be nonnegative\n"

@@ -20,7 +20,13 @@ from assocnf.terms import (
     size,
 )
 
-from helpers import naive_sigma, naive_size, subterm_at
+from helpers import (
+    naive_sigma,
+    naive_size,
+    reference_longest,
+    reference_shortest,
+    subterm_at,
+)
 
 labels = st.one_of(st.none(), st.from_regex(r"[a-z0-9_]{1,3}", fullmatch=True))
 leaves = st.builds(Leaf, labels)
@@ -91,3 +97,14 @@ def test_shortest_trace_replays(t):
         cur = apply_at(cur, step.position)
         assert cur == step.term_after
     assert cur == trace.final
+
+
+@given(terms)
+def test_strategies_match_reference_step_by_step(t):
+    for trace, expected in (
+        (normalize_shortest(t), reference_shortest(t)),
+        (normalize_longest(t), reference_longest(t)),
+    ):
+        assert [(s.position, s.term_after) for s in trace.steps] == expected
+        assert trace.step_count == len(expected)
+        assert trace.final == (expected[-1][1] if expected else t)

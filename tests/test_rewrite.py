@@ -29,7 +29,13 @@ from assocnf.terms import (
     size,
 )
 
-from helpers import catalan_counts, random_shape, subterm_at
+from helpers import (
+    catalan_counts,
+    random_shape,
+    reference_longest,
+    reference_shortest,
+    subterm_at,
+)
 
 EXAMPLE = "(((a*b)*c)*d)"
 
@@ -233,6 +239,33 @@ def test_trace_replay_reproduces_every_term():
                 assert cur == step.term_after
             assert cur == trace.final
             assert is_normal_form(trace.final)
+
+
+def test_strategies_match_reference_step_by_step():
+    # every shape with n <= 9: same positions, same terms, same count, same NF
+    for t in all_shapes_upto(9):
+        for trace, expected in (
+            (normalize_shortest(t), reference_shortest(t)),
+            (normalize_longest(t), reference_longest(t)),
+        ):
+            assert [(s.position, s.term_after) for s in trace.steps] == expected
+            assert trace.step_count == len(expected)
+            assert trace.final == (expected[-1][1] if expected else t)
+
+
+def test_steps_view_is_a_read_only_sequence():
+    trace = normalize_longest(parse(EXAMPLE))
+    steps = trace.steps
+    replayed = tuple(steps)
+    assert steps == replayed and steps == list(replayed) and steps == trace.steps
+    assert steps != replayed[:2]
+    assert steps[0] == replayed[0] and steps[-1] == replayed[-1]
+    assert steps[1:] == replayed[1:]
+    assert list(reversed(steps)) == list(reversed(replayed))
+    with pytest.raises(IndexError):
+        steps[3]
+    with pytest.raises(AttributeError):
+        trace.step_count = 0
 
 
 def test_normalize_dispatch():
