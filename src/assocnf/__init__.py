@@ -8,109 +8,11 @@ and verifies every such claim exhaustively on all small shapes via
 independent graph searches.
 """
 
-from .oracle import (
-    ENUMERATION_CAP,
-    GRAPH_CAP,
-    CapExceeded,
-    RewriteGraph,
-    TermRecord,
-    VerificationReport,
-    build_graph,
-    enumerate_shapes,
-    export_dot,
-    longest_path_from,
-    longest_paths,
-    records_jsonl,
-    report_table,
-    shortest_path_from,
-    shortest_paths,
-    verify_all,
-    verify_sn,
-    verify_unique_nf,
-    verify_wcr,
-)
-from .rewrite import (
-    STRATEGIES,
-    InvalidPosition,
-    NotARedex,
-    Position,
-    RewriteError,
-    Step,
-    Trace,
-    apply_at,
-    find_redexes,
-    format_position,
-    normalize,
-    normalize_longest,
-    normalize_shortest,
-    step_shortest,
-)
-from .terms import (
-    Leaf,
-    Metrics,
-    Node,
-    ParseError,
-    Term,
-    depth_rightmost,
-    is_normal_form,
-    left_chain,
-    measure,
-    parse,
-    render,
-    right_chain,
-    sigma,
-    size,
-)
+from . import oracle, rewrite, terms
+from .oracle import *  # noqa: F403
+from .rewrite import *  # noqa: F403
+from .terms import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Term",
-    "Leaf",
-    "Node",
-    "Metrics",
-    "ParseError",
-    "parse",
-    "render",
-    "size",
-    "sigma",
-    "depth_rightmost",
-    "is_normal_form",
-    "left_chain",
-    "right_chain",
-    "measure",
-    "Position",
-    "RewriteError",
-    "InvalidPosition",
-    "NotARedex",
-    "Step",
-    "Trace",
-    "format_position",
-    "find_redexes",
-    "apply_at",
-    "step_shortest",
-    "normalize_shortest",
-    "normalize_longest",
-    "normalize",
-    "STRATEGIES",
-    "ENUMERATION_CAP",
-    "GRAPH_CAP",
-    "CapExceeded",
-    "RewriteGraph",
-    "TermRecord",
-    "VerificationReport",
-    "enumerate_shapes",
-    "build_graph",
-    "verify_sn",
-    "verify_wcr",
-    "verify_unique_nf",
-    "longest_paths",
-    "shortest_paths",
-    "longest_path_from",
-    "shortest_path_from",
-    "verify_all",
-    "report_table",
-    "records_jsonl",
-    "export_dot",
-    "__version__",
-]
+__all__ = [*terms.__all__, *rewrite.__all__, *oracle.__all__, "__version__"]

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .oracle import (
     ENUMERATION_CAP,
     GRAPH_CAP,
+    _shapes,
     build_graph,
     enumerate_shapes,
     export_dot,
@@ -22,22 +24,31 @@ from .oracle import (
     verify_all,
 )
 from .rewrite import STRATEGIES, format_position, normalize
-from .terms import measure, parse, render
+from .terms import ParseError, measure, parse, render
 
 __all__ = ["main"]
 
 
 def _cmd_nf(args: argparse.Namespace) -> int:
-    if args.file is not None:
+    if args.file is None:
+        terms = [parse(args.term)]
+    else:
         try:
             with open(args.file, encoding="utf-8") as fh:
-                texts = [line.strip() for line in fh if line.strip()]
+                lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{args.file} is not UTF-8 text: {exc.reason}") from None
-    else:
-        texts = [args.term]
-    for text in texts:
-        trace = normalize(parse(text), "shortest")
+        # Every line is parsed before any result is printed, so a bad line
+        # leaves stdout empty.
+        terms = []
+        for number, line in enumerate(lines, 1):
+            if text := line.strip():
+                try:
+                    terms.append(parse(text))
+                except ParseError as exc:
+                    raise ValueError(f"{args.file} line {number}: {exc}") from None
+    for term in terms:
+        trace = normalize(term, "shortest")
         print(f"{render(trace.final)}\tsteps={trace.step_count}")
     return 0
 
@@ -61,11 +72,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    shapes = enumerate_shapes(args.n, cap=args.cap)
     if args.count_only:
-        print(len(shapes))
+        print(len(_shapes(args.n, args.cap)))
     else:
-        for t in shapes:
+        for t in enumerate_shapes(args.n, cap=args.cap):
             print(render(t))
     return 0
 
@@ -89,7 +99,10 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser unchanged, and
+    # building it costs more than a small command.
     parser = argparse.ArgumentParser(
         prog="assocnf",
         description=(

@@ -7,8 +7,17 @@ off acyclicity, confluence off sink uniqueness, and exact sequence lengths off
 longest/shortest path searches.  The path searches are deliberately
 independent of the strategy implementations they are used to check.
 
-Graph nodes are canonical term strings (see :func:`assocnf.terms.render`),
-kept sorted so reports and DOT exports are byte-stable across runs.
+The graph is built on preorder words: a shape of size ``n`` is ``2n+1``
+bits, most significant first, 0 for a node and 1 for a leaf.  Two facts:
+
+* word order is canonical order: two canonical texts first differ where a
+  subterm starts, ``(`` against ``.``, so words sort as texts do;
+* a rotation is one addition: ``(x*y)*z -> x*(y*z)`` turns ``0 0 X ...``
+  into ``0 X 0 ...``, that is, adds the bits of ``X``, in place, to the word.
+
+Strings are made once per shape, at the output boundary: graph nodes are
+canonical term strings (see :func:`assocnf.terms.render`), kept sorted so
+reports and DOT exports are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -16,8 +25,12 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 
+# parse, find_redexes and apply_at are unused here, but perfbench/tracing.py
+# wraps them in this module's namespace.
 from .rewrite import apply_at, find_redexes
 from .terms import Leaf, Node, Term, left_chain, measure, parse, render
 
@@ -53,36 +66,69 @@ class CapExceeded(ValueError):
     """Requested size is above the resource cap; pass ``cap=`` to override."""
 
 
-def enumerate_shapes(n: int, cap: int = ENUMERATION_CAP) -> list[Term]:
-    """All unlabeled shapes with ``n`` internal nodes, sorted by canonical text.
+def _shapes(n: int, cap: int, leaf=None, node=lambda left, right: None) -> list[tuple]:
+    """Every shape of size ``n`` as a ``(word, value)`` pair, in word order.
 
     Built from the split recurrence (left subtree of size ``i``, right of
-    size ``n-1-i``), so the count of results follows the Catalan recurrence.
+    size ``n-1-i``), so the count follows the Catalan recurrence.  A value
+    is ``leaf`` for a leaf and ``node(left, right)`` for a node, shared by
+    equal subtrees; by default only the words are built.
     """
     if n < 0:
         raise ValueError("shape size must be nonnegative")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds enumeration cap {cap}")
-    by_size: list[list[Term]] = [[Leaf(None)]]
+    by_size: list[list[tuple]] = [[(1, leaf)]]
     for m in range(1, n + 1):
-        by_size.append(
-            [
-                Node(l, r)
-                for i in range(m)
-                for l in by_size[i]
-                for r in by_size[m - 1 - i]
-            ]
-        )
-    return sorted(by_size[n], key=render)
+        shapes = []
+        for i in range(m):
+            rights = by_size[m - 1 - i]
+            # The root's 0 bit leads the word, so it adds nothing to its value.
+            shift = 2 * (m - 1 - i) + 1
+            for lw, lv in by_size[i]:
+                high = lw << shift
+                shapes += [(high | rw, node(lv, rv)) for rw, rv in rights]
+        by_size.append(shapes)
+    shapes = by_size[n]
+    shapes.sort(key=itemgetter(0))
+    return shapes
+
+
+def enumerate_shapes(n: int, cap: int = ENUMERATION_CAP) -> list[Term]:
+    """All unlabeled shapes with ``n`` internal nodes, sorted by canonical text."""
+    return [t for _, t in _shapes(n, cap, Leaf(None), Node)]
+
+
+def _successors(w: int, nbits: int) -> list[int]:
+    """Words one rotation away from the ``nbits``-bit word ``w``.
+
+    One scan from the least significant bit reads the word backwards: a leaf
+    pushes its offset, a node pops its left child's lowest offset.  A node
+    at ``k`` whose left child is the node at ``k-1`` is a redex; that child's
+    left child ``X`` spans offsets ``prev..k-2``, and the rotation adds
+    ``w``'s bits there to ``w``.
+    """
+    lows: list[int] = []  # lowest bit offset of each pending subtree
+    out = []
+    prev = -1  # lowest offset of the left child of a node at k-1, else -1
+    for k in range(nbits):
+        if w >> k & 1:
+            lows.append(k)
+            prev = -1
+        else:
+            if prev >= 0:
+                out.append(w + (w & ((1 << (k - 1)) - (1 << prev))))
+            prev = lows.pop()
+    return out
 
 
 @dataclass(eq=False)
 class RewriteGraph:
     """Single-step rewrite graph over canonical term strings.
 
-    ``succ`` has an entry for every node; parallel steps that reach the same
-    successor from different positions are collapsed to one edge with the
-    step count kept as the multiplicity value.
+    ``succ`` has an entry for every node and maps each successor to 1
+    (distinct rotations give distinct shapes).  Graphs are not changed once
+    built, so the topological order is computed once.
     """
 
     n: int
@@ -96,44 +142,42 @@ class RewriteGraph:
     def sinks(self) -> list[str]:
         return [u for u in self.nodes if not self.succ.get(u)]
 
+    @cached_property
+    def _topo_order(self) -> list[str] | None:
+        """Topological order, or ``None`` if the graph has a cycle."""
+        indegree = {u: 0 for u in self.nodes}
+        for u in self.nodes:
+            for v in self.succ.get(u, {}):
+                indegree[v] += 1
+        queue = deque(u for u in self.nodes if indegree[u] == 0)
+        order: list[str] = []
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for v in self.succ.get(u, {}):
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    queue.append(v)
+        return order if len(order) == len(self.nodes) else None
+
 
 def build_graph(n: int, cap: int = GRAPH_CAP) -> RewriteGraph:
     """Materialize the rewrite graph over every shape of size ``n``."""
     if n > cap:
         raise CapExceeded(f"n={n} exceeds graph cap {cap}")
-    terms = enumerate_shapes(n, cap=max(cap, ENUMERATION_CAP))
-    nodes = tuple(render(t) for t in terms)
-    succ: dict[str, dict[str, int]] = {}
-    for t, key in zip(terms, nodes):
-        targets: dict[str, int] = {}
-        for p in find_redexes(t):
-            v = render(apply_at(t, p))
-            targets[v] = targets.get(v, 0) + 1
-        succ[key] = dict(sorted(targets.items()))
-    return RewriteGraph(n=n, nodes=nodes, succ=succ)
-
-
-def _topo_order(g: RewriteGraph) -> list[str] | None:
-    """Topological order of ``g``, or ``None`` if it has a cycle."""
-    indegree = {u: 0 for u in g.nodes}
-    for u in g.nodes:
-        for v in g.succ.get(u, {}):
-            indegree[v] += 1
-    queue = deque(u for u in g.nodes if indegree[u] == 0)
-    order: list[str] = []
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in g.succ.get(u, {}):
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                queue.append(v)
-    return order if len(order) == len(g.nodes) else None
+    shapes = _shapes(n, max(cap, ENUMERATION_CAP), ".", "({}*{})".format)
+    text = dict(shapes)
+    nbits = 2 * n + 1
+    succ = {
+        key: dict.fromkeys([text[v] for v in sorted(_successors(w, nbits))], 1)
+        for w, key in shapes
+    }
+    return RewriteGraph(n=n, nodes=tuple(text.values()), succ=succ)
 
 
 def verify_sn(g: RewriteGraph) -> bool:
     """Strong normalization over a finite graph: no cycles."""
-    return _topo_order(g) is not None
+    return g._topo_order is not None
 
 
 def _descendants(g: RewriteGraph, start: str) -> set[str]:
@@ -157,7 +201,7 @@ def verify_wcr(g: RewriteGraph) -> bool:
     If the graph has a cycle, falls back to pairwise breadth-first
     joinability so the property is still decided.
     """
-    order = _topo_order(g)
+    order = g._topo_order
     if order is not None:
         reachable_sinks: dict[str, frozenset[str]] = {}
         for u in reversed(order):
@@ -184,27 +228,12 @@ def verify_wcr(g: RewriteGraph) -> bool:
 
 def verify_unique_nf(g: RewriteGraph) -> bool:
     """Exactly one sink, and every node reaches it."""
-    sinks = g.sinks()
-    if len(sinks) != 1:
-        return False
-    pred: dict[str, list[str]] = {u: [] for u in g.nodes}
-    for u in g.nodes:
-        for v in g.succ.get(u, {}):
-            pred[v].append(u)
-    seen = {sinks[0]}
-    queue = deque(sinks)
-    while queue:
-        u = queue.popleft()
-        for w in pred[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(g.nodes)
+    return len(g.sinks()) == 1 and len(shortest_paths(g)) == len(g.nodes)
 
 
 def longest_paths(g: RewriteGraph) -> dict[str, int]:
     """Longest path length from each node to a sink, by topological order."""
-    order = _topo_order(g)
+    order = g._topo_order
     if order is None:
         raise ValueError("longest paths are undefined on a cyclic graph")
     dist: dict[str, int] = {}
@@ -305,8 +334,10 @@ def verify_all(n_max: int, cap: int = GRAPH_CAP) -> list[VerificationReport]:
         longest = longest_paths(g)
         shortest = shortest_paths(g)
         records = []
-        for key in g.nodes:
-            m = measure(parse(key))
+        # Both lists are in word order, so each term meets its own key.
+        terms = enumerate_shapes(n, cap=max(cap, ENUMERATION_CAP))
+        for key, t in zip(g.nodes, terms):
+            m = measure(t)
             records.append(
                 TermRecord(
                     term=key,
@@ -388,8 +419,7 @@ def export_dot(g: RewriteGraph) -> str:
         mark = " [peripheries=2]" if u in sinks else ""
         lines.append(f'  "{u}"{mark};')
     for u in g.nodes:
-        for v, mult in g.succ.get(u, {}).items():
-            label = f' [label="{mult}"]' if mult > 1 else ""
-            lines.append(f'  "{u}" -> "{v}"{label};')
+        for v in g.succ.get(u, {}):
+            lines.append(f'  "{u}" -> "{v}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -49,6 +49,15 @@ def test_nf_batch_file(tmp_path, capsys):
     assert out == "(a*(b*(c*d)))\tsteps=2\n(a*b)\tsteps=0\n"
 
 
+def test_nf_batch_file_bad_line_prints_nothing(tmp_path, capsys):
+    path = tmp_path / "terms.txt"
+    path.write_text("(((a*b)*c)*d)\n\n((a*b)\n(a*b)\n", encoding="utf-8")
+    code, out, err = run(capsys, "nf", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path} line 3: unexpected end of input, expected '*' at byte 6\n"
+
+
 def test_nf_missing_file_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "nf", "--file", str(tmp_path / "missing.txt"))
     assert code == 2
@@ -74,6 +83,17 @@ def test_nf_requires_exactly_one_input(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["nf", "a", "--file", "x"])
     assert exc.value.code == 2
+
+
+def test_usage_error_leaves_the_parser_unchanged(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--max-n", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    after_error = run(capsys, "trace", "--strategy", "longest", "(((a*b)*c)*d)")
+    assert cli._build_parser() is cli._build_parser()
+    cli._build_parser.cache_clear()
+    assert run(capsys, "trace", "--strategy", "longest", "(((a*b)*c)*d)") == after_error
 
 
 def test_trace_longest(capsys):

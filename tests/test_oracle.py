@@ -1,10 +1,12 @@
 """Enumeration, rewrite graphs, and the graph-based verification oracles."""
 
 import json
+from math import factorial
 
 import pytest
 
 from assocnf.oracle import (
+    ENUMERATION_CAP,
     CapExceeded,
     RewriteGraph,
     build_graph,
@@ -20,7 +22,10 @@ from assocnf.oracle import (
     verify_sn,
     verify_unique_nf,
     verify_wcr,
+    _shapes,
+    _successors,
 )
+from assocnf.rewrite import apply_at, find_redexes
 from assocnf.terms import (
     depth_rightmost,
     left_chain,
@@ -65,6 +70,41 @@ def test_enumeration_cap():
 
 
 # ---------------------------------------------------------------------------
+# preorder words
+
+# A canonical unlabeled text read as its preorder word: '(' opens a node (0),
+# '.' is a leaf (1), and '*' and ')' carry no bits.
+_WORD_BITS = str.maketrans({"(": "0", ".": "1", "*": None, ")": None})
+
+
+def _word(text):
+    return int(text.translate(_WORD_BITS), 2)
+
+
+def test_word_order_is_canonical_order():
+    counts = catalan_counts(10)
+    for n in range(11):
+        texts = [render(t) for t in enumerate_shapes(n)]
+        assert len(set(texts)) == len(texts) == counts[n]
+        assert texts == sorted(texts) == sorted(texts, key=_word)
+        assert [w for w, _ in _shapes(n, ENUMERATION_CAP)] == [_word(x) for x in texts]
+
+
+def test_word_kernel_matches_the_rewrite_rule():
+    for n in range(9):
+        shapes = enumerate_shapes(n)
+        text_of = {_word(render(t)): render(t) for t in shapes}
+        g = build_graph(n)
+        for t in shapes:
+            key = render(t)
+            rotated = [text_of[v] for v in _successors(_word(key), 2 * n + 1)]
+            expected = {render(apply_at(t, p)) for p in find_redexes(t)}
+            assert len(rotated) == len(find_redexes(t)), key
+            assert set(rotated) == expected, key
+            assert list(g.succ[key]) == sorted(expected), key
+
+
+# ---------------------------------------------------------------------------
 # graph construction
 
 
@@ -100,6 +140,37 @@ def test_graph_multiplicities_are_positive():
         g = build_graph(n)
         for targets in g.succ.values():
             assert all(m >= 1 for m in targets.values())
+
+
+def test_edge_count_is_the_tamari_cover_count():
+    # the rewrite graph is the Hasse diagram of the Tamari lattice
+    counts = catalan_counts(11)
+    for n in range(1, 12):
+        assert build_graph(n).edge_count == (n - 1) * counts[n] // 2, n
+
+
+def _tamari_intervals(n):
+    """Chapoton's count of intervals in the Tamari lattice of size ``n``."""
+    return 2 * factorial(4 * n + 1) // (factorial(n + 1) * factorial(3 * n + 2))
+
+
+def test_reachable_pairs_are_the_tamari_intervals():
+    expected = [1, 1, 3, 13, 68, 399, 2530, 16965, 118668]
+    assert [_tamari_intervals(n) for n in range(9)] == expected
+    for n in range(9):
+        g = build_graph(n)
+        bit = {u: 1 << i for i, u in enumerate(g.nodes)}
+        below = {}  # node -> bitset of the nodes it reaches, itself included
+
+        def reach(u):
+            if u not in below:
+                r = bit[u]
+                for v in g.succ[u]:
+                    r |= reach(v)
+                below[u] = r
+            return below[u]
+
+        assert sum(reach(u).bit_count() for u in g.nodes) == expected[n], n
 
 
 def test_graph_cap():
