@@ -23,7 +23,7 @@ from .oracle import (
     report_table,
     verify_all,
 )
-from .rewrite import STRATEGIES, format_position, normalize
+from .rewrite import STRATEGIES, _step_texts, format_position, normalize
 from .terms import ParseError, measure, parse, render
 
 __all__ = ["main"]
@@ -57,8 +57,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     trace = normalize(parse(args.term), args.strategy)
     if not args.quiet:
         print(f"start {render(trace.start)}")
-        for step in trace.steps:
-            print(f"{format_position(step.position)} ⊳ {render(step.term_after)}")
+        for position, text in _step_texts(trace):
+            print(f"{format_position(position)} ⊳ {text}")
         print(f"final {render(trace.final)}")
     print(f"steps={trace.step_count}")
     return 0

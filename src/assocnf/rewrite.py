@@ -17,8 +17,11 @@ Two strategies are provided with exact step counts:
 
 Both return a :class:`Trace` that holds the start term, the normal form and
 the step count, never the intermediate terms.  Its ``steps`` view replays the
-steps with :func:`apply_at` each time it is iterated, deriving the positions
-from the start term: O(size) per step, as printing each term costs anyway.
+steps as terms with :func:`apply_at` each time it is iterated, deriving the
+positions from the start term: O(size) per step.  The CLI prints a trace
+from in-order leaf chunks instead (``_step_texts``): a rotation moves one
+``(`` and one ``)`` of the text, so each step costs O(depth of the step)
+plus one join, and no term is built or rendered.
 
 All rotations of immutable terms go through one kernel, ``_rotate``: the
 single steps :func:`apply_at` and :func:`step_shortest`, and the cursor loop
@@ -321,6 +324,83 @@ def _longest_positions(t: Term) -> Iterator[Position]:
 
 
 _POSITIONS = {"shortest": _shortest_positions, "longest": _longest_positions}
+
+
+def _step_texts(trace: Trace) -> Iterator[tuple[Position, str]]:
+    """``(position, render(term_after))`` for each step of ``trace``.
+
+    A rotation keeps the in-order order of leaves and nodes, so nothing is
+    ever renumbered: leaf ``j`` is the j-th leaf and node ``i`` the i-th
+    ``*`` of the text, whose left subtree ends at leaf ``i``.  The text is
+    ``"*".join(chunks)``, where chunk ``j`` is leaf ``j`` with its ``(``
+    before and its ``)`` after.  A rotation at ``b`` with left child ``a``
+    moves one ``(`` from the subtree's first leaf to leaf ``a+1`` and one
+    ``)`` from leaf ``b`` to the subtree's last leaf, so a step costs one
+    walk down its position and one join; no term is built.  Nodes are
+    numbered by position, not by identity, since terms share subtrees.
+    """
+    # One walk over the tokens of render(start).  done holds the numbers of
+    # finished subtrees (-1 for a leaf); a ')' always ends the latest leaf's
+    # chunk.
+    left: list[int] = []  # child node numbers, -1 for a leaf
+    right: list[int] = []
+    labels: list[str] = []
+    opens: list[int] = []  # '(' before each leaf
+    closes: list[int] = []  # ')' after each leaf
+    done: list[int] = []
+    pending = 0
+    stack: list = [trace.start]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Node):
+            stack += (")", x.right, "*", x.left, "(")
+        elif isinstance(x, Leaf):
+            labels.append(x.label or ".")
+            opens.append(pending)
+            closes.append(0)
+            done.append(-1)
+            pending = 0
+        elif x == "(":
+            pending += 1
+        elif x == "*":
+            left.append(done.pop())
+            right.append(-1)
+            done.append(len(left) - 1)
+        else:
+            child = done.pop()
+            right[done[-1]] = child
+            closes[-1] += 1
+    root = done[0]
+
+    def chunk(j: int) -> str:
+        return "(" * opens[j] + labels[j] + ")" * closes[j]
+
+    chunks = [chunk(j) for j in range(len(labels))]
+    last = len(labels) - 1
+    for p in _POSITIONS[trace.strategy](trace.start):
+        b, lo, hi, up, side = root, 0, last, -1, ""
+        for side in p:
+            up = b
+            if side == "L":
+                b, hi = left[b], b
+            else:
+                b, lo = right[b], b + 1
+        a = left[b]
+        left[b] = right[a]
+        right[a] = b
+        if up < 0:
+            root = a
+        elif side == "L":
+            left[up] = a
+        else:
+            right[up] = a
+        opens[lo] -= 1
+        opens[a + 1] += 1
+        closes[b] -= 1
+        closes[hi] += 1
+        for j in (lo, a + 1, b, hi):
+            chunks[j] = chunk(j)
+        yield p, "*".join(chunks)
 
 
 def normalize_shortest(t: Term) -> Trace:

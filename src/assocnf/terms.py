@@ -253,35 +253,39 @@ def render(t: Term) -> str:
     return "".join(out)
 
 
+def _size_sigma(t: Term) -> tuple[int, int]:
+    """``(size(t), sigma(t))`` in one walk.
+
+    Every internal node is credited once per ancestor that holds it in a
+    left subtree.  The walk runs down right spines, where that count is
+    constant, and stacks only left children that are nodes, so the stack
+    stays small on both chains.
+    """
+    count = total = 0
+    stack = [(t, 0)]
+    while stack:
+        x, left_ancestors = stack.pop()
+        while isinstance(x, Node):
+            count += 1
+            total += left_ancestors
+            if isinstance(x.left, Node):
+                stack.append((x.left, left_ancestors + 1))
+            x = x.right
+    return count, total
+
+
 def size(t: Term) -> int:
     """Number of internal nodes."""
-    count = 0
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Node):
-            count += 1
-            stack.append(x.left)
-            stack.append(x.right)
-    return count
+    return _size_sigma(t)[0]
 
 
 def sigma(t: Term) -> int:
     """Sum over internal nodes of the size of each node's left subtree.
 
     Equivalently: 0 for a leaf, else ``sigma(left) + sigma(right) +
-    size(left)``.  Computed here by crediting every internal node once per
-    ancestor that holds it in a left subtree.
+    size(left)``.
     """
-    total = 0
-    stack = [(t, 0)]
-    while stack:
-        x, left_ancestors = stack.pop()
-        if isinstance(x, Node):
-            total += left_ancestors
-            stack.append((x.left, left_ancestors + 1))
-            stack.append((x.right, left_ancestors))
-    return total
+    return _size_sigma(t)[1]
 
 
 def depth_rightmost(t: Term) -> int:
@@ -330,15 +334,6 @@ def right_chain(n: int) -> Term:
 
 def measure(t: Term) -> Metrics:
     """All measures of ``t`` in one record."""
-    total = 0
-    count = 0
-    stack = [(t, 0)]
-    while stack:
-        x, left_ancestors = stack.pop()
-        if isinstance(x, Node):
-            count += 1
-            total += left_ancestors
-            stack.append((x.left, left_ancestors + 1))
-            stack.append((x.right, left_ancestors))
+    count, total = _size_sigma(t)
     d_rm = depth_rightmost(t)
     return Metrics(size=count, sigma=total, d_rm=d_rm, is_nf=d_rm == count)

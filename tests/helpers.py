@@ -19,6 +19,16 @@ def catalan_counts(n_max):
     return counts
 
 
+# A canonical unlabeled text read as its preorder word: '(' opens a node (0),
+# '.' is a leaf (1), and '*' and ')' carry no bits.
+_WORD_BITS = str.maketrans({"(": "0", ".": "1", "*": None, ")": None})
+
+
+def preorder_word(text):
+    """The preorder word of a canonical unlabeled text, as an integer."""
+    return int(text.translate(_WORD_BITS), 2)
+
+
 def naive_size(t):
     if isinstance(t, Leaf):
         return 0

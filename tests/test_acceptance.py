@@ -13,6 +13,7 @@ import time
 import pytest
 
 from assocnf.oracle import (
+    _successors,
     build_graph,
     enumerate_shapes,
     longest_paths,
@@ -36,6 +37,7 @@ from helpers import (
     catalan_counts,
     comb_shape,
     leaves_in_order,
+    preorder_word,
     random_shape,
     remy_shape,
     right_chain_over,
@@ -113,20 +115,20 @@ def test_criterion_4_strategies_match_oracles(universe):
             assert short_trace.final == nf and long_trace.final == nf, key
 
     # random half: labeled terms at size 12, checked against a graph search
-    # over each term's reachable set (memo shared across terms; the reachable
-    # sets overlap heavily near the normal form)
+    # over each term's reachable set of preorder words, one rotation being
+    # one word addition (memo shared across terms; the reachable sets
+    # overlap heavily near the normal form)
     counts = catalan_counts(RANDOM_SIZE)
     rng = random.Random(SEED)
-    succ_memo: dict[str, list[str]] = {}
-    longest_memo: dict[str, int] = {}
-    shortest_memo: dict[str, int] = {}
+    nbits = 2 * RANDOM_SIZE + 1
+    succ_memo: dict[int, list[int]] = {}
+    longest_memo: dict[int, int] = {}
+    shortest_memo: dict[int, int] = {}
 
     def successors(key):
         found = succ_memo.get(key)
         if found is None:
-            t = parse(key)
-            found = sorted({render(apply_at(t, p)) for p in find_redexes(t)})
-            succ_memo[key] = found
+            found = succ_memo[key] = _successors(key, nbits)
         return found
 
     def longest_to_nf(key):
@@ -146,14 +148,15 @@ def test_criterion_4_strategies_match_oracles(universe):
     for _ in range(RANDOM_TERMS):
         shape = random_shape(RANDOM_SIZE, rng, counts)
         t = with_indexed_leaves(shape)
-        key = render(shape)
+        text = render(shape)
+        key = preorder_word(text)
         short_trace = normalize_shortest(t)
         long_trace = normalize_longest(t)
-        assert len(short_trace.steps) == shortest_to_nf(key), key
-        assert len(long_trace.steps) == longest_to_nf(key), key
+        assert len(short_trace.steps) == shortest_to_nf(key), text
+        assert len(long_trace.steps) == longest_to_nf(key), text
         expected_nf = right_chain_over(leaves_in_order(t))
-        assert short_trace.final == expected_nf, key
-        assert long_trace.final == expected_nf, key
+        assert short_trace.final == expected_nf, text
+        assert long_trace.final == expected_nf, text
 
     print(
         f"PASS criterion 4: both strategies match the path oracles on all "

@@ -6,7 +6,8 @@ import pytest
 
 import assocnf.cli as cli
 from assocnf.oracle import VerificationReport, build_graph, enumerate_shapes, export_dot
-from assocnf.terms import render
+from assocnf.rewrite import STRATEGIES, format_position, normalize
+from assocnf.terms import parse, render
 
 
 def run(capsys, *argv):
@@ -114,6 +115,25 @@ def test_trace_shortest_default(capsys):
     step_lines = [line for line in out.splitlines() if "⊳" in line]
     assert len(step_lines) == 2
     assert step_lines[0] == "ε ⊳ ((a*b)*(c*d))"
+
+
+# Eight nodes; the right spine (a*(b*...)) holds a node with a non-leaf left
+# subtree, so steps fire below the root on both sides of the spine.
+SPINE_TERM = "(a*(b*(((c*d)*(e*f))*((g*h)*i))))"
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_trace_prints_every_step(capsys, strategy):
+    trace = normalize(parse(SPINE_TERM), strategy)
+    expected = [f"start {SPINE_TERM}"]
+    expected += [
+        f"{format_position(s.position)} ⊳ {render(s.term_after)}" for s in trace.steps
+    ]
+    expected += [f"final {render(trace.final)}", f"steps={trace.step_count}"]
+    code, out, err = run(capsys, "trace", "--strategy", strategy, SPINE_TERM)
+    assert code == 0 and err == ""
+    assert out == "\n".join(expected) + "\n"
+    assert trace.step_count >= 4
 
 
 def test_trace_leaf_has_no_steps(capsys):

@@ -1,6 +1,7 @@
 """Enumeration, rewrite graphs, and the graph-based verification oracles."""
 
 import json
+import random
 from math import factorial
 
 import pytest
@@ -36,7 +37,7 @@ from assocnf.terms import (
     size,
 )
 
-from helpers import catalan_counts
+from helpers import catalan_counts, preorder_word, random_shape
 
 
 # ---------------------------------------------------------------------------
@@ -72,36 +73,37 @@ def test_enumeration_cap():
 # ---------------------------------------------------------------------------
 # preorder words
 
-# A canonical unlabeled text read as its preorder word: '(' opens a node (0),
-# '.' is a leaf (1), and '*' and ')' carry no bits.
-_WORD_BITS = str.maketrans({"(": "0", ".": "1", "*": None, ")": None})
-
-
-def _word(text):
-    return int(text.translate(_WORD_BITS), 2)
-
-
 def test_word_order_is_canonical_order():
     counts = catalan_counts(10)
     for n in range(11):
         texts = [render(t) for t in enumerate_shapes(n)]
         assert len(set(texts)) == len(texts) == counts[n]
-        assert texts == sorted(texts) == sorted(texts, key=_word)
-        assert [w for w, _ in _shapes(n, ENUMERATION_CAP)] == [_word(x) for x in texts]
+        assert texts == sorted(texts) == sorted(texts, key=preorder_word)
+        assert [w for w, _ in _shapes(n, ENUMERATION_CAP)] == [preorder_word(x) for x in texts]
 
 
 def test_word_kernel_matches_the_rewrite_rule():
     for n in range(9):
         shapes = enumerate_shapes(n)
-        text_of = {_word(render(t)): render(t) for t in shapes}
+        text_of = {preorder_word(render(t)): render(t) for t in shapes}
         g = build_graph(n)
         for t in shapes:
             key = render(t)
-            rotated = [text_of[v] for v in _successors(_word(key), 2 * n + 1)]
+            rotated = [text_of[v] for v in _successors(preorder_word(key), 2 * n + 1)]
             expected = {render(apply_at(t, p)) for p in find_redexes(t)}
             assert len(rotated) == len(find_redexes(t)), key
             assert set(rotated) == expected, key
             assert list(g.succ[key]) == sorted(expected), key
+    # and on random shapes at the size criterion 4 searches with this kernel
+    counts = catalan_counts(12)
+    rng = random.Random(1212)
+    for _ in range(200):
+        t = random_shape(12, rng, counts)
+        key = render(t)
+        rotated = _successors(preorder_word(key), 25)
+        expected = {render(apply_at(t, p)) for p in find_redexes(t)}
+        assert len(rotated) == len(find_redexes(t)), key
+        assert set(rotated) == {preorder_word(text) for text in expected}, key
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from hypothesis import given, strategies as st
 
 from assocnf.rewrite import (
+    _step_texts,
     apply_at,
     find_redexes,
     normalize_longest,
@@ -108,3 +109,10 @@ def test_strategies_match_reference_step_by_step(t):
         assert [(s.position, s.term_after) for s in trace.steps] == expected
         assert trace.step_count == len(expected)
         assert trace.final == (expected[-1][1] if expected else t)
+
+
+@given(terms)
+def test_step_texts_match_rendered_steps(t):
+    for trace in (normalize_shortest(t), normalize_longest(t)):
+        expected = [(s.position, render(s.term_after)) for s in trace.steps]
+        assert list(_step_texts(trace)) == expected

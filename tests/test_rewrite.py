@@ -9,6 +9,7 @@ from assocnf.rewrite import (
     InvalidPosition,
     NotARedex,
     Step,
+    _step_texts,
     apply_at,
     find_redexes,
     format_position,
@@ -251,6 +252,16 @@ def test_strategies_match_reference_step_by_step():
             assert [(s.position, s.term_after) for s in trace.steps] == expected
             assert trace.step_count == len(expected)
             assert trace.final == (expected[-1][1] if expected else t)
+
+
+def test_step_texts_match_rendered_steps():
+    # every shape with n <= 9; enumerate_shapes shares equal subtrees, so
+    # numbering nodes by identity instead of position would fail here
+    for t in all_shapes_upto(9):
+        for strategy in ("shortest", "longest"):
+            trace = normalize(t, strategy)
+            expected = [(s.position, render(s.term_after)) for s in trace.steps]
+            assert list(_step_texts(trace)) == expected, (render(t), strategy)
 
 
 def test_steps_view_is_a_read_only_sequence():
