@@ -15,22 +15,23 @@ bits, most significant first, 0 for a node and 1 for a leaf.  Two facts:
 * a rotation is one addition: ``(x*y)*z -> x*(y*z)`` turns ``0 0 X ...``
   into ``0 X 0 ...``, that is, adds the bits of ``X``, in place, to the word.
 
-Strings are made once per shape, at the output boundary: graph nodes are
-canonical term strings (see :func:`assocnf.terms.render`), kept sorted so
-reports and DOT exports are byte-stable across runs.
+Node ``i`` is the ``i``-th word; edges are index tuples, and searches and
+checks run on indices.  Strings are made once per shape, for output: nodes
+are canonical term strings (see :func:`assocnf.terms.render`), sorted, so
+reports and DOT exports are byte-stable.  Confluence is decided on acyclic
+graphs only, since a cycle already fails termination.
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
-# parse, find_redexes and apply_at are unused here, but perfbench/tracing.py
-# wraps them in this module's namespace.
+# parse, measure, find_redexes and apply_at are unused here, but
+# perfbench/tracing.py wraps them in this module's namespace.
 from .rewrite import apply_at, find_redexes
 from .terms import Leaf, Node, Term, left_chain, measure, parse, render
 
@@ -126,39 +127,65 @@ def _successors(w: int, nbits: int) -> list[int]:
 class RewriteGraph:
     """Single-step rewrite graph over canonical term strings.
 
-    ``succ`` has an entry for every node and maps each successor to 1
-    (distinct rotations give distinct shapes).  Graphs are not changed once
-    built, so the topological order is computed once.
+    ``targets[i]`` holds the indices into ``nodes`` of node ``i``'s
+    successors, ascending.  ``succ`` is a view derived from it that maps
+    each node to ``{successor: 1}``.  Graphs are not changed once built, so
+    searches are computed once.
     """
 
     n: int
     nodes: tuple[str, ...]
-    succ: dict[str, dict[str, int]]
+    targets: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def succ(self) -> dict[str, dict[str, int]]:
+        nodes = self.nodes
+        return {
+            u: dict.fromkeys([nodes[v] for v in vs], 1)
+            for u, vs in zip(nodes, self.targets)
+        }
 
     @property
     def edge_count(self) -> int:
-        return sum(len(vs) for vs in self.succ.values())
+        return sum(map(len, self.targets))
 
     def sinks(self) -> list[str]:
-        return [u for u in self.nodes if not self.succ.get(u)]
+        return [u for u, vs in zip(self.nodes, self.targets) if not vs]
 
     @cached_property
-    def _topo_order(self) -> list[str] | None:
-        """Topological order, or ``None`` if the graph has a cycle."""
-        indegree = {u: 0 for u in self.nodes}
-        for u in self.nodes:
-            for v in self.succ.get(u, {}):
+    def _topo_order(self) -> list[int] | None:
+        """Topological order (Kahn), or ``None`` if the graph has a cycle."""
+        targets = self.targets
+        indegree = [0] * len(targets)
+        for vs in targets:
+            for v in vs:
                 indegree[v] += 1
-        queue = deque(u for u in self.nodes if indegree[u] == 0)
-        order: list[str] = []
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in self.succ.get(u, {}):
+        order = [u for u, d in enumerate(indegree) if not d]
+        for u in order:
+            for v in targets[u]:
                 indegree[v] -= 1
-                if indegree[v] == 0:
-                    queue.append(v)
-        return order if len(order) == len(self.nodes) else None
+                if not indegree[v]:
+                    order.append(v)
+        return order if len(order) == len(targets) else None
+
+    @cached_property
+    def _sink_distance(self) -> list[int | None]:
+        """Shortest distance to a sink by reverse BFS; ``None`` if none."""
+        pred: list[list[int]] = [[] for _ in self.targets]
+        for u, vs in enumerate(self.targets):
+            for v in vs:
+                pred[v].append(u)
+        dist: list[int | None] = [None] * len(pred)
+        queue = [u for u, vs in enumerate(self.targets) if not vs]
+        for u in queue:
+            dist[u] = 0
+        for u in queue:
+            d = dist[u] + 1
+            for w in pred[u]:
+                if dist[w] is None:
+                    dist[w] = d
+                    queue.append(w)
+        return dist
 
 
 def build_graph(n: int, cap: int = GRAPH_CAP) -> RewriteGraph:
@@ -166,13 +193,12 @@ def build_graph(n: int, cap: int = GRAPH_CAP) -> RewriteGraph:
     if n > cap:
         raise CapExceeded(f"n={n} exceeds graph cap {cap}")
     shapes = _shapes(n, max(cap, ENUMERATION_CAP), ".", "({}*{})".format)
-    text = dict(shapes)
+    index = {w: i for i, (w, _) in enumerate(shapes)}.__getitem__
     nbits = 2 * n + 1
-    succ = {
-        key: dict.fromkeys([text[v] for v in sorted(_successors(w, nbits))], 1)
-        for w, key in shapes
-    }
-    return RewriteGraph(n=n, nodes=tuple(text.values()), succ=succ)
+    targets = tuple(
+        [tuple(sorted(map(index, _successors(w, nbits)))) for w, _ in shapes]
+    )
+    return RewriteGraph(n=n, nodes=tuple([t for _, t in shapes]), targets=targets)
 
 
 def verify_sn(g: RewriteGraph) -> bool:
@@ -180,55 +206,36 @@ def verify_sn(g: RewriteGraph) -> bool:
     return g._topo_order is not None
 
 
-def _descendants(g: RewriteGraph, start: str) -> set[str]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in g.succ.get(u, {}):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
 def verify_wcr(g: RewriteGraph) -> bool:
     """Local confluence: every one-step divergence is joinable.
 
     On an acyclic graph two nodes are joinable iff they share a reachable
-    sink, so one pass computes reachable-sink sets and divergences reduce to
-    set intersections (with a unique sink this is just normal-form equality).
-    If the graph has a cycle, falls back to pairwise breadth-first
-    joinability so the property is still decided.
+    sink, so one pass computes reachable-sink bitmasks (one bit per sink)
+    and each divergence is one ``&``.  Raises ``ValueError`` on a cycle.
     """
     order = g._topo_order
-    if order is not None:
-        reachable_sinks: dict[str, frozenset[str]] = {}
-        for u in reversed(order):
-            targets = g.succ.get(u, {})
-            if not targets:
-                reachable_sinks[u] = frozenset((u,))
-            else:
-                reachable_sinks[u] = frozenset().union(
-                    *(reachable_sinks[v] for v in targets)
-                )
-        for u in g.nodes:
-            targets = list(g.succ.get(u, {}))
-            for x, y in combinations(targets, 2):
-                if reachable_sinks[x].isdisjoint(reachable_sinks[y]):
-                    return False
-        return True
-    for u in g.nodes:
-        targets = list(g.succ.get(u, {}))
-        for x, y in combinations(targets, 2):
-            if _descendants(g, x).isdisjoint(_descendants(g, y)):
-                return False
-    return True
+    if order is None:
+        raise ValueError("local confluence is checked on acyclic graphs only")
+    targets = g.targets
+    sinks = [0] * len(targets)
+    bit = 1
+    for u in reversed(order):
+        if targets[u]:
+            mask = 0
+            for v in targets[u]:
+                mask |= sinks[v]
+            sinks[u] = mask
+        else:
+            sinks[u] = bit
+            bit <<= 1
+    return all(
+        sinks[x] & sinks[y] for vs in targets for x, y in combinations(vs, 2)
+    )
 
 
 def verify_unique_nf(g: RewriteGraph) -> bool:
     """Exactly one sink, and every node reaches it."""
-    return len(g.sinks()) == 1 and len(shortest_paths(g)) == len(g.nodes)
+    return len(g.sinks()) == 1 and None not in g._sink_distance
 
 
 def longest_paths(g: RewriteGraph) -> dict[str, int]:
@@ -236,11 +243,12 @@ def longest_paths(g: RewriteGraph) -> dict[str, int]:
     order = g._topo_order
     if order is None:
         raise ValueError("longest paths are undefined on a cyclic graph")
-    dist: dict[str, int] = {}
+    targets = g.targets
+    dist = [0] * len(targets)
     for u in reversed(order):
-        targets = g.succ.get(u, {})
-        dist[u] = max((1 + dist[v] for v in targets), default=0)
-    return dist
+        if targets[u]:
+            dist[u] = 1 + max(map(dist.__getitem__, targets[u]))
+    return dict(zip(g.nodes, dist))
 
 
 def shortest_paths(g: RewriteGraph) -> dict[str, int]:
@@ -249,24 +257,12 @@ def shortest_paths(g: RewriteGraph) -> dict[str, int]:
     Nodes that cannot reach a sink (possible only in cyclic graphs) are
     absent from the result.
     """
-    pred: dict[str, list[str]] = {u: [] for u in g.nodes}
-    for u in g.nodes:
-        for v in g.succ.get(u, {}):
-            pred[v].append(u)
-    dist = {u: 0 for u in g.nodes if not g.succ.get(u)}
-    queue = deque(dist)
-    while queue:
-        u = queue.popleft()
-        for w in pred[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+    return {u: d for u, d in zip(g.nodes, g._sink_distance) if d is not None}
 
 
 def _graph_key(g: RewriteGraph, t: Term | str) -> str:
     key = t if isinstance(t, str) else render(t)
-    if key not in g.succ:
+    if key not in g.nodes:
         raise ValueError(f"term not in graph: {key}")
     return key
 
@@ -320,6 +316,11 @@ class VerificationReport:
         )
 
 
+def _measures(left: tuple, right: tuple) -> tuple[int, int, int]:
+    """``(size, sigma, d_rm)`` of a node from those of its children."""
+    return left[0] + right[0] + 1, left[1] + right[1] + left[0], right[2] + 1
+
+
 def verify_all(n_max: int, cap: int = GRAPH_CAP) -> list[VerificationReport]:
     """Run every check for each size ``0..n_max`` and report per size.
 
@@ -333,21 +334,12 @@ def verify_all(n_max: int, cap: int = GRAPH_CAP) -> list[VerificationReport]:
         g = build_graph(n, cap=cap)
         longest = longest_paths(g)
         shortest = shortest_paths(g)
-        records = []
-        # Both lists are in word order, so each term meets its own key.
-        terms = enumerate_shapes(n, cap=max(cap, ENUMERATION_CAP))
-        for key, t in zip(g.nodes, terms):
-            m = measure(t)
-            records.append(
-                TermRecord(
-                    term=key,
-                    size=m.size,
-                    sigma=m.sigma,
-                    d_rm=m.d_rm,
-                    longest=longest[key],
-                    shortest=shortest[key],
-                )
-            )
+        # Both lists are in word order, so each shape meets its own key.
+        shapes = _shapes(n, max(cap, ENUMERATION_CAP), (0, 0, 0), _measures)
+        records = [
+            TermRecord(key, size, sig, d_rm, longest[key], shortest[key])
+            for key, (_, (size, sig, d_rm)) in zip(g.nodes, shapes)
+        ]
         max_longest = max(r.longest for r in records)
         reports.append(
             VerificationReport(
@@ -392,34 +384,28 @@ def report_table(reports: list[VerificationReport]) -> str:
 
 
 def records_jsonl(reports: list[VerificationReport]) -> str:
-    """Machine-readable form: one JSON object per shape per line."""
-    lines = []
-    for r in reports:
-        for rec in r.records:
-            lines.append(
-                json.dumps(
-                    {
-                        "term": rec.term,
-                        "n": rec.size,
-                        "sigma": rec.sigma,
-                        "d_rm": rec.d_rm,
-                        "longest": rec.longest,
-                        "shortest": rec.shortest,
-                    }
-                )
-            )
+    """Machine-readable form: one JSON object per shape per line.
+
+    Lines are formatted directly, quoting with ``json.dumps``'s escaper.
+    """
+    lines = [
+        f'{{"term": {_quote(rec.term)}, "n": {rec.size}, "sigma": {rec.sigma}, '
+        f'"d_rm": {rec.d_rm}, "longest": {rec.longest}, "shortest": {rec.shortest}}}'
+        for r in reports
+        for rec in r.records
+    ]
     return "\n".join(lines) + "\n"
 
 
 def export_dot(g: RewriteGraph) -> str:
     """DOT text for ``g``: sorted nodes and edges, sinks double-bordered."""
-    sinks = set(g.sinks())
+    nodes = g.nodes
     lines = ["digraph rewrites {"]
-    for u in g.nodes:
-        mark = " [peripheries=2]" if u in sinks else ""
-        lines.append(f'  "{u}"{mark};')
-    for u in g.nodes:
-        for v in g.succ.get(u, {}):
-            lines.append(f'  "{u}" -> "{v}";')
+    lines += [
+        f'  "{u}";' if vs else f'  "{u}" [peripheries=2];'
+        for u, vs in zip(nodes, g.targets)
+    ]
+    for u, vs in zip(nodes, g.targets):
+        lines += [f'  "{u}" -> "{nodes[v]}";' for v in vs]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """CLI behavior: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -227,6 +228,26 @@ def test_verify_writes_records(tmp_path, capsys):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert {r["term"] for r in records} >= {"((.*.)*.)", "(.*(.*.))"}
     assert all(set(r) == {"term", "n", "sigma", "d_rm", "longest", "shortest"} for r in records)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_verify_and_graph_output_bytes_are_pinned(tmp_path, capsys):
+    # Output bytes are part of the CLI contract: any change to a report,
+    # record or DOT byte changes one of these SHA-256 digests.
+    path = tmp_path / "F"
+    code, out, _ = run(capsys, "verify", "--max-n", "8", "--records", str(path))
+    assert code == 0
+    assert _sha256(out) == "35802a3663e2bd173d217664e971d867a6e7dec2e569f63f37a0f997f0138a72"
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        == "34c61b6ebe77fdf05ebf38e90a3af7c2e62c07a254cafd27cea569ceb08c87aa"
+    )
+    code, out, _ = run(capsys, "graph", "7")
+    assert code == 0
+    assert _sha256(out) == "ce6df50d574b5ca4406be1c7708fed0de97b0095c961d80fb64a627cc3323103"
 
 
 def test_verify_negative_max_n_is_usage_error(capsys):

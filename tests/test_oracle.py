@@ -10,6 +10,8 @@ from assocnf.oracle import (
     ENUMERATION_CAP,
     CapExceeded,
     RewriteGraph,
+    TermRecord,
+    VerificationReport,
     build_graph,
     enumerate_shapes,
     export_dot,
@@ -30,6 +32,7 @@ from assocnf.rewrite import apply_at, find_redexes
 from assocnf.terms import (
     depth_rightmost,
     left_chain,
+    measure,
     parse,
     render,
     right_chain,
@@ -192,7 +195,7 @@ def test_sn_holds_on_rewrite_graphs():
 
 
 def test_sn_rejects_a_cycle():
-    g = RewriteGraph(n=-1, nodes=("a", "b"), succ={"a": {"b": 1}, "b": {"a": 1}})
+    g = RewriteGraph(n=-1, nodes=("a", "b"), targets=((1,), (0,)))
     assert not verify_sn(g)
 
 
@@ -230,20 +233,21 @@ def test_wcr_rejects_unjoinable_divergence():
     g = RewriteGraph(
         n=-1,
         nodes=("w", "x", "y"),
-        succ={"w": {"x": 1, "y": 1}, "x": {}, "y": {}},
+        targets=((1, 2), (), ()),
     )
     assert not verify_wcr(g)
 
 
-def test_wcr_falls_back_to_bfs_on_cyclic_graphs():
-    # cyclic, but the one divergence (b, c from a) is joinable at d
+def test_wcr_rejects_cyclic_graphs():
+    # cyclic, though the one divergence (b, c from a) is joinable at d
     g = RewriteGraph(
         n=-1,
         nodes=("a", "b", "c", "d"),
-        succ={"a": {"b": 1, "c": 1}, "b": {"a": 1, "d": 1}, "c": {"d": 1}, "d": {}},
+        targets=((1, 2), (0, 3), (3,), ()),
     )
     assert not verify_sn(g)
-    assert verify_wcr(g)
+    with pytest.raises(ValueError):
+        verify_wcr(g)
 
 
 def test_unique_nf_holds_on_rewrite_graphs():
@@ -263,18 +267,24 @@ def test_unique_nf_rejects_two_sinks():
     g = RewriteGraph(
         n=-1,
         nodes=("w", "x", "y"),
-        succ={"w": {"x": 1, "y": 1}, "x": {}, "y": {}},
+        targets=((1, 2), (), ()),
     )
     assert not verify_unique_nf(g)
 
 
 def test_unique_nf_rejects_sinkless_cycle():
-    g = RewriteGraph(n=-1, nodes=("a", "b"), succ={"a": {"b": 1}, "b": {"a": 1}})
+    g = RewriteGraph(n=-1, nodes=("a", "b"), targets=((1,), (0,)))
+    assert not verify_unique_nf(g)
+
+
+def test_unique_nf_rejects_a_cycle_that_misses_the_sink():
+    g = RewriteGraph(n=-1, nodes=("a", "b", "c"), targets=((1,), (0,), ()))
+    assert g.sinks() == ["c"]
     assert not verify_unique_nf(g)
 
 
 def test_longest_paths_reject_cycles():
-    g = RewriteGraph(n=-1, nodes=("a", "b"), succ={"a": {"b": 1}, "b": {"a": 1}})
+    g = RewriteGraph(n=-1, nodes=("a", "b"), targets=((1,), (0,)))
     with pytest.raises(ValueError):
         longest_paths(g)
 
@@ -364,6 +374,47 @@ def test_records_jsonl_round_trips():
         "longest": 1,
         "shortest": 1,
     }
+
+
+def test_records_jsonl_escapes_like_json_dumps():
+    terms = ['(a*"b")', "(\\*c)", "(caf\u00e9*\\\"x)"]
+    records = tuple(
+        TermRecord(term, size=1, sigma=i, d_rm=1, longest=i, shortest=0)
+        for i, term in enumerate(terms)
+    )
+    report = VerificationReport(
+        n=1,
+        records=records,
+        sn_ok=True,
+        wcr_ok=True,
+        unique_nf_ok=True,
+        longest_matches_sigma=True,
+        shortest_matches_formula=True,
+        max_longest=2,
+        max_attained_by=(terms[2],),
+    )
+    expected = "\n".join(
+        json.dumps(
+            {
+                "term": r.term,
+                "n": r.size,
+                "sigma": r.sigma,
+                "d_rm": r.d_rm,
+                "longest": r.longest,
+                "shortest": r.shortest,
+            }
+        )
+        for r in records
+    )
+    assert records_jsonl([report, report]) == expected + "\n" + expected + "\n"
+
+
+def test_verify_all_measures_match_terms_measure():
+    records = [r for report in verify_all(9) for r in report.records]
+    assert len(records) == sum(catalan_counts(9))
+    for r in records:
+        m = measure(parse(r.term))
+        assert (r.size, r.sigma, r.d_rm) == (m.size, m.sigma, m.d_rm), r.term
 
 
 # ---------------------------------------------------------------------------
