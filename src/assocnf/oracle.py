@@ -187,6 +187,19 @@ class RewriteGraph:
                     queue.append(w)
         return dist
 
+    @cached_property
+    def _longest_distance(self) -> list[int]:
+        """Longest distance to a sink, by reverse topological order."""
+        order = self._topo_order
+        if order is None:
+            raise ValueError("longest paths are undefined on a cyclic graph")
+        targets = self.targets
+        dist = [0] * len(targets)
+        for u in reversed(order):
+            if targets[u]:
+                dist[u] = 1 + max(map(dist.__getitem__, targets[u]))
+        return dist
+
 
 def build_graph(n: int, cap: int = GRAPH_CAP) -> RewriteGraph:
     """Materialize the rewrite graph over every shape of size ``n``."""
@@ -240,15 +253,7 @@ def verify_unique_nf(g: RewriteGraph) -> bool:
 
 def longest_paths(g: RewriteGraph) -> dict[str, int]:
     """Longest path length from each node to a sink, by topological order."""
-    order = g._topo_order
-    if order is None:
-        raise ValueError("longest paths are undefined on a cyclic graph")
-    targets = g.targets
-    dist = [0] * len(targets)
-    for u in reversed(order):
-        if targets[u]:
-            dist[u] = 1 + max(map(dist.__getitem__, targets[u]))
-    return dict(zip(g.nodes, dist))
+    return dict(zip(g.nodes, g._longest_distance))
 
 
 def shortest_paths(g: RewriteGraph) -> dict[str, int]:
@@ -260,21 +265,29 @@ def shortest_paths(g: RewriteGraph) -> dict[str, int]:
     return {u: d for u, d in zip(g.nodes, g._sink_distance) if d is not None}
 
 
-def _graph_key(g: RewriteGraph, t: Term | str) -> str:
+def _graph_index(g: RewriteGraph, t: Term | str) -> int:
     key = t if isinstance(t, str) else render(t)
-    if key not in g.nodes:
-        raise ValueError(f"term not in graph: {key}")
-    return key
+    try:
+        return g.nodes.index(key)
+    except ValueError:
+        raise ValueError(f"term not in graph: {key}") from None
 
 
 def longest_path_from(g: RewriteGraph, t: Term | str) -> int:
     """Exact longest rewrite distance from ``t`` to the normal-form sink."""
-    return longest_paths(g)[_graph_key(g, t)]
+    return g._longest_distance[_graph_index(g, t)]
 
 
 def shortest_path_from(g: RewriteGraph, t: Term | str) -> int:
-    """Exact shortest rewrite distance from ``t`` to the normal-form sink."""
-    return shortest_paths(g)[_graph_key(g, t)]
+    """Exact shortest rewrite distance from ``t`` to the normal-form sink.
+
+    Raises ``KeyError`` if ``t`` reaches no sink (only in cyclic graphs).
+    """
+    i = _graph_index(g, t)
+    d = g._sink_distance[i]
+    if d is None:
+        raise KeyError(g.nodes[i])
+    return d
 
 
 @dataclass(frozen=True)
@@ -332,13 +345,13 @@ def verify_all(n_max: int, cap: int = GRAPH_CAP) -> list[VerificationReport]:
     reports = []
     for n in range(n_max + 1):
         g = build_graph(n, cap=cap)
-        longest = longest_paths(g)
-        shortest = shortest_paths(g)
-        # Both lists are in word order, so each shape meets its own key.
+        # All four lists are in word order, so each shape meets its own node.
         shapes = _shapes(n, max(cap, ENUMERATION_CAP), (0, 0, 0), _measures)
         records = [
-            TermRecord(key, size, sig, d_rm, longest[key], shortest[key])
-            for key, (_, (size, sig, d_rm)) in zip(g.nodes, shapes)
+            TermRecord(key, size, sig, d_rm, longest, shortest)
+            for key, longest, shortest, (_, (size, sig, d_rm)) in zip(
+                g.nodes, g._longest_distance, g._sink_distance, shapes
+            )
         ]
         max_longest = max(r.longest for r in records)
         reports.append(

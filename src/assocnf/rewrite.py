@@ -19,9 +19,10 @@ Both return a :class:`Trace` that holds the start term, the normal form and
 the step count, never the intermediate terms.  Its ``steps`` view replays the
 steps as terms with :func:`apply_at` each time it is iterated, deriving the
 positions from the start term: O(size) per step.  The CLI prints a trace
-from in-order leaf chunks instead (``_step_texts``): a rotation moves one
-``(`` and one ``)`` of the text, so each step costs O(depth of the step)
-plus one join, and no term is built or rendered.
+from in-order leaf chunks instead (``_step_texts``), the pieces of
+``render(start)`` split at ``*``: a rotation moves one ``(`` and one ``)``
+of the text, so each step costs O(depth of the step) plus one join, and no
+term is built or rendered after the start.
 
 All rotations of immutable terms go through one kernel, ``_rotate``: the
 single steps :func:`apply_at` and :func:`step_shortest`, and the cursor loop
@@ -38,7 +39,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice, repeat
 
-from .terms import Leaf, Node, Term, sigma
+from .terms import Leaf, Node, Term, render, sigma
 
 __all__ = [
     "Position",
@@ -164,7 +165,10 @@ class Steps(Sequence):
 def find_redexes(t: Term) -> list[Position]:
     """All redex positions, deepest first, ties left-to-right (``L < R``).
 
-    Empty exactly when ``t`` is in normal form.
+    Empty exactly when ``t`` is in normal form.  Builds a path string for
+    every node, so it takes Θ(sum of node depths) time even when there is
+    no redex (quadratic on a chain), and its output is Θ(sum of redex
+    depths) characters.
     """
     found: list[Position] = []
     stack: list[tuple[Term, str]] = [(t, "")]
@@ -331,52 +335,33 @@ def _step_texts(trace: Trace) -> Iterator[tuple[Position, str]]:
 
     A rotation keeps the in-order order of leaves and nodes, so nothing is
     ever renumbered: leaf ``j`` is the j-th leaf and node ``i`` the i-th
-    ``*`` of the text, whose left subtree ends at leaf ``i``.  The text is
-    ``"*".join(chunks)``, where chunk ``j`` is leaf ``j`` with its ``(``
-    before and its ``)`` after.  A rotation at ``b`` with left child ``a``
-    moves one ``(`` from the subtree's first leaf to leaf ``a+1`` and one
-    ``)`` from leaf ``b`` to the subtree's last leaf, so a step costs one
-    walk down its position and one join; no term is built.  Nodes are
-    numbered by position, not by identity, since terms share subtrees.
+    ``*`` of the text, whose left subtree ends at leaf ``i``.  Labels hold
+    no ``*``, so ``render(start).split("*")`` gives one chunk per leaf: the
+    leaf with its ``(`` before and its ``)`` after.  A rotation at ``b``
+    with left child ``a`` moves one ``(`` from the subtree's first leaf to
+    leaf ``a+1`` and one ``)`` from leaf ``b`` to the subtree's last leaf,
+    so a step costs one walk down its position and one join; no term is
+    built.  Nodes are numbered by position, not by identity, since terms
+    share subtrees.
     """
-    # One walk over the tokens of render(start).  done holds the numbers of
-    # finished subtrees (-1 for a leaf); a ')' always ends the latest leaf's
-    # chunk.
+    chunks = render(trace.start).split("*")
+    # Rebuild the links: a '*' comes before every chunk but the first, and
+    # each ')' closes the latest open node.  done holds the numbers of
+    # finished subtrees (-1 for a leaf).
     left: list[int] = []  # child node numbers, -1 for a leaf
     right: list[int] = []
-    labels: list[str] = []
-    opens: list[int] = []  # '(' before each leaf
-    closes: list[int] = []  # ')' after each leaf
     done: list[int] = []
-    pending = 0
-    stack: list = [trace.start]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Node):
-            stack += (")", x.right, "*", x.left, "(")
-        elif isinstance(x, Leaf):
-            labels.append(x.label or ".")
-            opens.append(pending)
-            closes.append(0)
-            done.append(-1)
-            pending = 0
-        elif x == "(":
-            pending += 1
-        elif x == "*":
+    for c in chunks:
+        if done:
             left.append(done.pop())
             right.append(-1)
             done.append(len(left) - 1)
-        else:
+        done.append(-1)
+        for _ in range(len(c) - len(c.rstrip(")"))):
             child = done.pop()
             right[done[-1]] = child
-            closes[-1] += 1
     root = done[0]
-
-    def chunk(j: int) -> str:
-        return "(" * opens[j] + labels[j] + ")" * closes[j]
-
-    chunks = [chunk(j) for j in range(len(labels))]
-    last = len(labels) - 1
+    last = len(chunks) - 1
     for p in _POSITIONS[trace.strategy](trace.start):
         b, lo, hi, up, side = root, 0, last, -1, ""
         for side in p:
@@ -394,12 +379,10 @@ def _step_texts(trace: Trace) -> Iterator[tuple[Position, str]]:
             left[up] = a
         else:
             right[up] = a
-        opens[lo] -= 1
-        opens[a + 1] += 1
-        closes[b] -= 1
-        closes[hi] += 1
-        for j in (lo, a + 1, b, hi):
-            chunks[j] = chunk(j)
+        chunks[lo] = chunks[lo][1:]
+        chunks[a + 1] = "(" + chunks[a + 1]
+        chunks[b] = chunks[b][:-1]
+        chunks[hi] += ")"
         yield p, "*".join(chunks)
 
 

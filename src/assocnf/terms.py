@@ -152,12 +152,6 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-def _byte_offset(text: str, index: int) -> int:
-    if text.isascii():
-        return index
-    return len(text[:index].encode("utf-8"))
-
-
 _WS = frozenset(" \t\r\n")
 
 # Sentinel marking an open '(' whose left child has not been parsed yet.
@@ -172,6 +166,8 @@ def parse(text: str) -> Term:
     byte offset on malformed input.  Nesting depth is unbounded.
     """
     n = len(text)
+    # i is also the byte offset: i only ever passes ASCII characters, and
+    # the first non-ASCII one is a fault.
     i = 0
     # Stack entries: _OPEN for an open paren awaiting its left child, or the
     # completed left child Term awaiting '*' right ')'.
@@ -180,7 +176,7 @@ def parse(text: str) -> Term:
         while i < n and text[i] in _WS:
             i += 1
         if i >= n:
-            raise ParseError("unexpected end of input", _byte_offset(text, i))
+            raise ParseError("unexpected end of input", i)
         c = text[i]
         if c == "(":
             stack.append(_OPEN)
@@ -196,39 +192,28 @@ def parse(text: str) -> Term:
             term = Leaf(text[i:j])
             i = j
         else:
-            raise ParseError(f"expected a term, found {c!r}", _byte_offset(text, i))
+            raise ParseError(f"expected a term, found {c!r}", i)
         # Attach the completed term upward, closing parens as they finish.
         while True:
             while i < n and text[i] in _WS:
                 i += 1
             if not stack:
                 if i < n:
-                    raise ParseError(
-                        f"trailing input {text[i]!r}", _byte_offset(text, i)
-                    )
+                    raise ParseError(f"trailing input {text[i]!r}", i)
                 return term
             top = stack[-1]
             if top is _OPEN:
                 if i >= n:
-                    raise ParseError(
-                        "unexpected end of input, expected '*'",
-                        _byte_offset(text, i),
-                    )
+                    raise ParseError("unexpected end of input, expected '*'", i)
                 if text[i] != "*":
-                    raise ParseError(
-                        f"expected '*', found {text[i]!r}", _byte_offset(text, i)
-                    )
+                    raise ParseError(f"expected '*', found {text[i]!r}", i)
                 stack[-1] = term
                 i += 1
                 break
             if i >= n:
-                raise ParseError(
-                    "unexpected end of input, expected ')'", _byte_offset(text, i)
-                )
+                raise ParseError("unexpected end of input, expected ')'", i)
             if text[i] != ")":
-                raise ParseError(
-                    f"expected ')', found {text[i]!r}", _byte_offset(text, i)
-                )
+                raise ParseError(f"expected ')', found {text[i]!r}", i)
             stack.pop()
             term = Node(top, term)
             i += 1

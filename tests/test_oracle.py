@@ -2,7 +2,8 @@
 
 import json
 import random
-from math import factorial
+from collections import Counter
+from math import comb, factorial, prod
 
 import pytest
 
@@ -147,11 +148,63 @@ def test_graph_multiplicities_are_positive():
             assert all(m >= 1 for m in targets.values())
 
 
-def test_edge_count_is_the_tamari_cover_count():
+@pytest.fixture(scope="module")
+def tamari_graphs():
+    """The rewrite graphs for n = 1..11, built once for the lattice gates."""
+    return {n: build_graph(n) for n in range(1, 12)}
+
+
+def test_edge_count_is_the_tamari_cover_count(tamari_graphs):
     # the rewrite graph is the Hasse diagram of the Tamari lattice
     counts = catalan_counts(11)
     for n in range(1, 12):
-        assert build_graph(n).edge_count == (n - 1) * counts[n] // 2, n
+        assert tamari_graphs[n].edge_count == (n - 1) * counts[n] // 2, n
+
+
+def test_out_degrees_are_the_narayana_numbers(tamari_graphs):
+    # shapes with k redexes: N(n, k+1) = C(n, k+1) C(n, k) / n
+    for n, g in tamari_graphs.items():
+        expected = {k: comb(n, k + 1) * comb(n, k) // n for k in range(n)}
+        assert Counter(map(len, g.targets)) == expected, n
+
+
+def test_shortest_distances_are_the_ballot_numbers(tamari_graphs):
+    # shapes at distance n-k from the sink: k/(2n-k) C(2n-k, n)
+    for n, g in tamari_graphs.items():
+        expected = {}
+        for k in range(1, n + 1):
+            count, rem = divmod(k * comb(2 * n - k, n), 2 * n - k)
+            assert rem == 0
+            expected[n - k] = count
+        assert Counter(shortest_paths(g).values()) == expected, n
+
+
+def _shifted_staircase_tableaux(n):
+    """Fishel-Nelson: C(n,2)! prod_{k<n} (k-1)!/(2k-1)! (OEIS A003121)."""
+    num = factorial(n * (n - 1) // 2) * prod(factorial(k - 1) for k in range(1, n))
+    den = prod(factorial(2 * k - 1) for k in range(1, n))
+    assert num % den == 0
+    return num // den
+
+
+def test_longest_chains_from_the_left_chain_are_fishel_nelson(tamari_graphs):
+    # maximal chains of the Tamari lattice (Fishel & Nelson, Proc. AMS 2014)
+    expected = [1, 1, 1, 2, 12, 286, 33592, 23178480, 108995910720,
+                3973186258569120]
+    assert [_shifted_staircase_tableaux(n) for n in range(1, 11)] == expected
+    for n, g in tamari_graphs.items():
+        # a rotation adds to the word, so every edge goes to a later index
+        best = [0] * len(g.nodes)
+        ways = [1] * len(g.nodes)
+        for u in reversed(range(len(g.nodes))):
+            vs = g.targets[u]
+            if vs:
+                assert min(vs) > u
+                best[u] = 1 + max(best[v] for v in vs)
+                ways[u] = sum(ways[v] for v in vs if best[v] == best[u] - 1)
+        start = g.nodes.index(render(left_chain(n)))
+        assert best[start] == n * (n - 1) // 2, n
+        assert ways[start] == _shifted_staircase_tableaux(n), n
 
 
 def _tamari_intervals(n):
@@ -315,6 +368,25 @@ def test_paths_reject_unknown_terms():
     g = build_graph(2)
     with pytest.raises(ValueError):
         longest_path_from(g, parse("(a*b)"))
+
+
+def test_path_lookups_on_cyclic_graphs():
+    g = RewriteGraph(n=-1, nodes=("a", "b", "c"), targets=((1,), (0,), ()))
+    with pytest.raises(KeyError):
+        shortest_path_from(g, "a")
+    assert shortest_path_from(g, "c") == 0
+    with pytest.raises(ValueError):
+        longest_path_from(g, "c")
+
+
+def test_path_lookups_match_the_path_tables():
+    for n in range(8):
+        g = build_graph(n)
+        longest = longest_paths(g)
+        shortest = shortest_paths(g)
+        for key in g.nodes:
+            assert longest_path_from(g, key) == longest[key]
+            assert shortest_path_from(g, key) == shortest[key]
 
 
 def test_path_oracles_match_measures_on_small_sizes():

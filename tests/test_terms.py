@@ -60,6 +60,7 @@ def test_parse_multichar_labels():
         ("a)", 1),
         ("(.*.)x", 5),
         ("a b", 2),
+        ("(a*b))ß", 5),
     ],
 )
 def test_parse_errors_carry_byte_offset(text, offset):
