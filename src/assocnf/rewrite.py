@@ -24,9 +24,10 @@ from in-order leaf chunks instead (``_step_texts``), the pieces of
 of the text, so each step costs O(depth of the step) plus one join, and no
 term is built or rendered after the start.
 
-All rotations of immutable terms go through one kernel, ``_rotate``: the
-single steps :func:`apply_at` and :func:`step_shortest`, and the cursor loop
-behind both strategies' normal forms.
+Single steps, :func:`apply_at` and :func:`step_shortest`, rotate through
+one kernel, ``_rotate``.  The cursor loop behind both strategies' normal
+forms peels each run of rotations at one position as a whole instead,
+building one node per rotation (``_normalize_spine``).
 
 Positions are strings over ``L``/``R`` read from the root; the empty string
 is the root and prints as ``ε``.  When redexes are listed or chosen, deeper
@@ -254,23 +255,41 @@ def step_shortest(t: Term) -> tuple[Term, Position] | None:
 def _normalize_spine(t: Term) -> tuple[Term, list[tuple[int, int]]]:
     """The shortest strategy in O(size(t)): its normal form and its steps.
 
-    A cursor walks down the right spine once.  Its focus stays at the same
-    depth ``k`` while it rotates and moves down only past a leaf left child,
-    so each node is entered once and the spine above the focus is rebuilt
-    only at the end.  The steps come back as runs ``(k, count)``: ``count``
-    consecutive rotations at position ``R^k``, with ``k`` increasing.
+    A cursor walks down the right spine.  Its focus stays at the same depth
+    ``k`` while it rotates and moves down only past a leaf left child.  The
+    steps come back as runs ``(k, count)``: ``count`` consecutive rotations
+    at position ``R^k``, with ``k`` increasing.
+
+    A run peels the focus's left spine with one new ``Node`` per rotation
+    and no intermediate focus: each spine node's right child is hung on top
+    of the focus's right subtree, and the spine's leftmost leaf ends up as
+    the left child at depth ``k``.  The cursor then walks the subtree the
+    run built, and records the leaves it passed (a second walk) only if a
+    redex lies below.  So the subtree the last run built is final and is
+    reused whole, and only the ``k + 1`` spine nodes above it are rebuilt,
+    for the ``k`` of the last run.  No node is passed more than twice.
     """
     lefts: list[Term] = []
     runs: list[tuple[int, int]] = []
-    focus = _descend(t, lefts)
-    while isinstance(focus, Node):
+    top = t
+    while True:
+        # Below the last run's subtree there is no redex, and its leaves
+        # need not be kept: walk first, record only when a run follows.
+        focus = top
+        while isinstance(focus, Node) and isinstance(focus.left, Leaf):
+            focus = focus.right
+        if not isinstance(focus, Node):
+            return _reattach(lefts, top), runs
+        _descend(top, lefts)
+        acc, inner = focus.right, focus.left
         count = 0
-        while isinstance(focus.left, Node):
-            focus = _rotate(focus)
+        while isinstance(inner, Node):
+            acc = Node(inner.right, acc)
+            inner = inner.left
             count += 1
         runs.append((len(lefts), count))
-        focus = _descend(focus, lefts)
-    return (_reattach(lefts, focus) if runs else t), runs
+        lefts.append(inner)
+        top = acc
 
 
 def _shortest_positions(t: Term) -> Iterator[Position]:
@@ -391,8 +410,9 @@ def normalize_shortest(t: Term) -> Trace:
 
     Takes exactly ``size(t) - depth_rightmost(t)`` steps.  Equivalent to
     iterating :func:`step_shortest` to a fixpoint, but keeps a cursor into
-    the term so the already-validated prefix of the rightmost path is never
-    rescanned, and builds the normal form once: O(size(t)) time and memory.
+    the term so the already-validated prefix of the rightmost path is not
+    rescanned after each step, and builds the normal form once: O(size(t))
+    time and memory.
     """
     final, runs = _normalize_spine(t)
     return Trace(t, final, "shortest", sum(count for _, count in runs))

@@ -172,6 +172,9 @@ def parse(text: str) -> Term:
     # Stack entries: _OPEN for an open paren awaiting its left child, or the
     # completed left child Term awaiting '*' right ')'.
     stack: list = []
+    # One Leaf per distinct label (None for '.'): terms are immutable, so
+    # equal leaves can be one object, and a chain over one label builds one.
+    leaves: dict[str | None, Leaf] = {}
     while True:
         while i < n and text[i] in _WS:
             i += 1
@@ -183,16 +186,19 @@ def parse(text: str) -> Term:
             i += 1
             continue
         if c == ".":
-            term: Term = Leaf(None)
+            label = None
             i += 1
         elif c in _LABEL_CHARS:
             j = i + 1
             while j < n and text[j] in _LABEL_CHARS:
                 j += 1
-            term = Leaf(text[i:j])
+            label = text[i:j]
             i = j
         else:
             raise ParseError(f"expected a term, found {c!r}", i)
+        term: Term | None = leaves.get(label)
+        if term is None:
+            term = leaves[label] = Leaf(label)
         # Attach the completed term upward, closing parens as they finish.
         while True:
             while i < n and text[i] in _WS:
@@ -220,21 +226,44 @@ def parse(text: str) -> Term:
 
 
 def render(t: Term) -> str:
-    """Canonical text of ``t``; injective, and ``parse(render(t)) == t``."""
+    """Canonical text of ``t``; injective, and ``parse(render(t)) == t``.
+
+    Right spines print inline: each node with a leaf left child is one
+    ``(label*`` and the spine ends in one run of ``)``.  A node left child
+    is entered down its left spine, stacking each spine node's ``*``, right
+    child and ``)`` for later, so only left edges touch the stack.
+    """
     out: list[str] = []
     stack: list = [t]
     while stack:
         x = stack.pop()
         if type(x) is str:
             out.append(x)
-        elif isinstance(x, Leaf):
-            out.append(x.label if x.label is not None else ".")
-        else:
-            stack.append(")")
+            continue
+        closes = 0
+        while isinstance(x, Node):
+            left = x.left
+            if isinstance(left, Leaf):
+                out.append(f"({left.label or '.'}*")
+                closes += 1
+                x = x.right
+                continue
+            # The spine's pending ')'s close after x's right subtree.
+            stack.append(")" * (closes + 1))
             stack.append(x.right)
             stack.append("*")
-            stack.append(x.left)
-            stack.append("(")
+            opens = 1
+            while isinstance(left.left, Node):
+                stack.append(")")
+                stack.append(left.right)
+                stack.append("*")
+                opens += 1
+                left = left.left
+            out.append("(" * opens)
+            x, closes = left, 0
+        out.append(x.label or ".")
+        if closes:
+            out.append(")" * closes)
     return "".join(out)
 
 

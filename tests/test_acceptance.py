@@ -9,6 +9,7 @@ check, since absolute constants depend on the machine).
 import gc
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,8 @@ from assocnf.oracle import (
 )
 from assocnf.rewrite import apply_at, find_redexes, normalize_longest, normalize_shortest, step_shortest
 from assocnf.terms import (
+    Leaf,
+    Node,
     depth_rightmost,
     left_chain,
     parse,
@@ -260,6 +263,55 @@ def test_criterion_7_linear_time_on_random_shapes_and_combs(family):
             f"PASS criterion 7: {family} shape of 100000 nodes -> right chain "
             f"with GC {gc_mode} ({t1:.2f}s); doubling n scaled by {t2 / t1:.2f}x"
         )
+
+
+ALLOCATION_FAMILIES = {
+    "comb": SHAPE_FAMILIES["comb"],
+    "left_chain": left_chain,
+    "remy": SHAPE_FAMILIES["remy"],
+    "right_chain": right_chain,
+}
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts of ``Node`` and ``Leaf`` constructions while the test runs."""
+    counts = Counter()
+    for cls in (Node, Leaf):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            counts[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+@pytest.mark.parametrize("n", [1_000, 10_000])
+@pytest.mark.parametrize("family", sorted(ALLOCATION_FAMILIES))
+def test_allocation_counts_are_linear(family, n, constructions):
+    # counts, not clocks: exact on every host, so the bounds can be tight
+    t = ALLOCATION_FAMILIES[family](n)
+    text = render(t)
+    pieces = text.split(".")
+    labeled = pieces[0] + "".join(f"x{i % 7}{p}" for i, p in enumerate(pieces[1:]))
+    for source, labels in ((text, 1), (labeled, 7)):
+        constructions.clear()
+        t = parse(source)
+        assert constructions == {"Node": n, "Leaf": labels}, source[:40]
+    steps = size(t) - depth_rightmost(t)
+    for normalize in (normalize_shortest, normalize_longest):
+        constructions.clear()
+        normalize(t)
+        assert constructions["Leaf"] == 0
+        assert constructions["Node"] <= steps + n, normalize.__name__
+        if family == "left_chain":
+            assert constructions["Node"] == n
+        elif family == "right_chain":
+            assert constructions["Node"] == 0
+    print(
+        f"PASS allocation gate: {family} of {n} nodes parses with {n} nodes "
+        f"and one leaf per label, normalizes with at most {steps + n} nodes"
+    )
 
 
 def test_criterion_8_enumeration_matches_catalan_recurrence():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ import assocnf.cli as cli
 from assocnf.oracle import VerificationReport, build_graph, enumerate_shapes, export_dot
 from assocnf.rewrite import STRATEGIES, format_position, normalize
 from assocnf.terms import parse, render
+from helpers import comb_shape, remy_shape, with_indexed_leaves
 
 
 def run(capsys, *argv):
@@ -248,6 +250,62 @@ def test_verify_and_graph_output_bytes_are_pinned(tmp_path, capsys):
     code, out, _ = run(capsys, "graph", "7")
     assert code == 0
     assert _sha256(out) == "ce6df50d574b5ca4406be1c7708fed0de97b0095c961d80fb64a627cc3323103"
+
+
+def _labeled_left_chain_text(n, labels=("a", "b", "c0", "x_1", "zz")):
+    """Canonical text of the n-node left chain whose labels cycle over ``labels``."""
+    tail = "".join(f"*{labels[i % len(labels)]})" for i in range(1, n + 1))
+    return "(" * n + labels[0] + tail
+
+
+# Remy shape with 60 nodes, seed 60, leaves x0..x60.
+PINNED_TRACE_TERM = (
+    "((x0*x1)*((x2*x3)*(x4*((((x5*(x6*((x7*((x8*(((x9*((((((x10*x11)*(x12*"
+    "(x13*(((x14*((x15*x16)*(x17*(x18*x19))))*x20)*((((x21*x22)*x23)*x24)*"
+    "(x25*x26))))))*(x27*x28))*x29)*x30)*((x31*x32)*x33)))*(x34*x35))*x36))*"
+    "x37))*((x38*x39)*x40))))*x41)*((((x42*x43)*x44)*x45)*x46))*(x47*((x48*"
+    "(x49*x50))*((x51*((x52*(((x53*x54)*x55)*(x56*x57)))*(x58*x59)))*x60)))))))"
+)
+
+
+def test_nf_and_trace_output_bytes_are_pinned(capsys):
+    # nf and trace print the same bytes whatever the kernels beneath them
+    # do; one chain, one comb and one Remy shape cover the three families.
+    inputs = {
+        "chain": _labeled_left_chain_text(10_000),
+        "comb": render(comb_shape(5000, 5000)),
+        "remy": render(with_indexed_leaves(remy_shape(10_000, random.Random(7)))),
+    }
+    pins = {
+        "chain": (
+            "fbbea78605a842059ba5f7cb990320e48d30b93f9f165e788802fea9ec6d4afa",
+            "b29e43fda4b4d26bff1a088fca702c52a59cc20f8764a0a6b4f4e05dbc78c0ec",
+        ),
+        "comb": (
+            "b6048105c0919e4829f6cbecc6876285cb2ea4d8b335ff274a19d789dfbdf47a",
+            "e2a0c6df9877008071ab21153d08e2d53500a8dfe290fc952de2bc7125d7d6ef",
+        ),
+        "remy": (
+            "8c2cd5f45ff7d9eff09e3f4e6528287f7dbf488b2bc765924b2c51f4e4f9428f",
+            "66e5207cfbbaf3a4ce7b08fe00f1d8ece68b835a4c2c6a6e729442b93a9a0da8",
+        ),
+    }
+    assert render(with_indexed_leaves(remy_shape(60, random.Random(60)))) == PINNED_TRACE_TERM
+    for name, text in inputs.items():
+        code, out, _ = run(capsys, "nf", text)
+        assert code == 0
+        assert _sha256(out) == pins[name][0], name
+        code, out, _ = run(capsys, "trace", "--quiet", "--strategy", "longest", text)
+        assert code == 0
+        assert _sha256(out) == pins[name][1], name
+    full = {
+        "shortest": "8695c5e14458626073ade6bf1cbed6817aa45107165bf73eed443f3490373b2b",
+        "longest": "bf82ff9647fb3b90e02530d52b1f6b41239a690c11af7d0ae267f249fe426b3a",
+    }
+    for strategy, digest in full.items():
+        code, out, _ = run(capsys, "trace", "--strategy", strategy, PINNED_TRACE_TERM)
+        assert code == 0
+        assert _sha256(out) == digest, strategy
 
 
 def test_verify_negative_max_n_is_usage_error(capsys):

@@ -212,23 +212,22 @@ def _tamari_intervals(n):
     return 2 * factorial(4 * n + 1) // (factorial(n + 1) * factorial(3 * n + 2))
 
 
-def test_reachable_pairs_are_the_tamari_intervals():
-    expected = [1, 1, 3, 13, 68, 399, 2530, 16965, 118668]
-    assert [_tamari_intervals(n) for n in range(9)] == expected
-    for n in range(9):
-        g = build_graph(n)
-        bit = {u: 1 << i for i, u in enumerate(g.nodes)}
-        below = {}  # node -> bitset of the nodes it reaches, itself included
-
-        def reach(u):
-            if u not in below:
-                r = bit[u]
-                for v in g.succ[u]:
-                    r |= reach(v)
-                below[u] = r
-            return below[u]
-
-        assert sum(reach(u).bit_count() for u in g.nodes) == expected[n], n
+def test_reachable_pairs_are_the_tamari_intervals(tamari_graphs):
+    expected = [1, 1, 3, 13, 68, 399, 2530, 16965, 118668, 857956, 6369883]
+    assert [_tamari_intervals(n) for n in range(11)] == expected
+    graphs = {0: build_graph(0)} | {n: tamari_graphs[n] for n in range(1, 11)}
+    for n, g in graphs.items():
+        # a rotation adds to the word, so targets come later and a reverse
+        # sweep is reverse-topological; below[u] is the bitset of the nodes
+        # u reaches, itself included
+        below = [0] * len(g.targets)
+        for u in reversed(range(len(g.targets))):
+            r = 1 << u
+            for v in g.targets[u]:
+                assert v > u
+                r |= below[v]
+            below[u] = r
+        assert sum(r.bit_count() for r in below) == expected[n], n
 
 
 def test_graph_cap():
