@@ -205,7 +205,7 @@ def build_graph(n: int, cap: int = GRAPH_CAP) -> RewriteGraph:
     """Materialize the rewrite graph over every shape of size ``n``."""
     if n > cap:
         raise CapExceeded(f"n={n} exceeds graph cap {cap}")
-    shapes = _shapes(n, max(cap, ENUMERATION_CAP), ".", "({}*{})".format)
+    shapes = _shapes(n, cap, ".", "({}*{})".format)
     index = {w: i for i, (w, _) in enumerate(shapes)}.__getitem__
     nbits = 2 * n + 1
     targets = tuple(
@@ -346,7 +346,7 @@ def verify_all(n_max: int, cap: int = GRAPH_CAP) -> list[VerificationReport]:
     for n in range(n_max + 1):
         g = build_graph(n, cap=cap)
         # All four lists are in word order, so each shape meets its own node.
-        shapes = _shapes(n, max(cap, ENUMERATION_CAP), (0, 0, 0), _measures)
+        shapes = _shapes(n, cap, (0, 0, 0), _measures)
         records = [
             TermRecord(key, size, sig, d_rm, longest, shortest)
             for key, longest, shortest, (_, (size, sig, d_rm)) in zip(

@@ -6,6 +6,7 @@ The canonical text form is fully parenthesized: every node prints as
 three-node left chain is ``(((.*.)*.)*.)``.
 
 Terms are immutable values: share them freely, never mutate ``left``/``right``.
+Terms compare by structure, labels included, and hash as their canonical text.
 Every operation here walks trees with explicit stacks so that chains nested
 a million deep are handled without touching the interpreter recursion limit.
 """
@@ -35,51 +36,22 @@ _LABEL_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
 
 
 class Term:
-    """Base class for :class:`Leaf` and :class:`Node`."""
+    """Base class for :class:`Leaf` and :class:`Node`; defines term identity.
+
+    ``==`` compares structure and labels; ``hash`` is the hash of the
+    canonical text, which :func:`render` gives only to equal terms.  Hashing
+    caches nothing, so each call costs O(size), even on a term hashed before.
+    """
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return render(self)
 
-
-class Leaf(Term):
-    """A leaf, carrying an optional label over ``[a-z0-9_]``."""
-
-    __slots__ = ("label",)
-
-    def __init__(self, label: str | None = None):
-        if label is not None and (not label or not set(label) <= _LABEL_CHARS):
-            raise ValueError(f"invalid leaf label: {label!r}")
-        self.label = label
-
-    def __repr__(self) -> str:
-        return f"Leaf({self.label!r})" if self.label is not None else "Leaf()"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Leaf) and self.label == other.label
-
-    def __hash__(self) -> int:
-        return hash(("leaf", self.label))
-
-
-class Node(Term):
-    """An internal node; rewriting never inspects anything but the shape."""
-
-    __slots__ = ("left", "right", "_hash")
-
-    def __init__(self, left: Term, right: Term):
-        self.left = left
-        self.right = right
-        self._hash: int | None = None
-
-    def __repr__(self) -> str:
-        return f"parse({render(self)!r})"
-
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if not isinstance(other, Node):
+        if not isinstance(other, Term):
             return NotImplemented
         stack = [(self, other)]
         while stack:
@@ -97,33 +69,34 @@ class Node(Term):
         return True
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = _node_hash(self)
-        return h
+        return hash(render(self))
 
 
-def _node_hash(root: Node) -> int:
-    # Bottom-up over an explicit stack; caches into _hash so shared subtrees
-    # and repeated lookups stay cheap.
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        if not isinstance(x, Node) or x._hash is not None:
-            continue
-        pending = []
-        child_hashes = []
-        for child in (x.left, x.right):
-            if isinstance(child, Node) and child._hash is None:
-                pending.append(child)
-            else:
-                child_hashes.append(hash(child))
-        if pending:
-            stack.append(x)
-            stack.extend(pending)
-        else:
-            x._hash = hash((child_hashes[0], child_hashes[1]))
-    return root._hash  # type: ignore[return-value]
+class Leaf(Term):
+    """A leaf, carrying an optional label over ``[a-z0-9_]``."""
+
+    __slots__ = ("label",)
+
+    def __init__(self, label: str | None = None):
+        if label is not None and (not label or not set(label) <= _LABEL_CHARS):
+            raise ValueError(f"invalid leaf label: {label!r}")
+        self.label = label
+
+    def __repr__(self) -> str:
+        return f"Leaf({self.label!r})" if self.label is not None else "Leaf()"
+
+
+class Node(Term):
+    """An internal node; rewriting never inspects anything but the shape."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        self.left = left
+        self.right = right
+
+    def __repr__(self) -> str:
+        return f"parse({render(self)!r})"
 
 
 @dataclass(frozen=True)

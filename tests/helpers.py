@@ -3,9 +3,11 @@
 The measures and shapes here are written as the plainest possible recursion
 or recurrence, independent of the library's iterative implementations, so
 tests can compare the two sides; they are only meant for small terms.  The
-reference strategies replay each step the slow, obvious way.  The large
-shape generators at the end are iterative.
+reference strategies replay each step the slow, obvious way.  The
+relabelling copies and the large shape generators at the end are iterative.
 """
+
+from itertools import count
 
 from assocnf.rewrite import apply_at, find_redexes
 from assocnf.terms import Leaf, Node, left_chain
@@ -61,11 +63,29 @@ def right_chain_over(labels):
     return t
 
 
+def _copy_with_leaves(t, new_leaf):
+    """Copy of ``t`` whose leaves, left to right, are ``new_leaf()`` calls.
+
+    Iterative, so any depth works: a ``None`` marker on the stack joins the
+    last two finished subtrees.
+    """
+    done = []
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if x is None:
+            right = done.pop()
+            done[-1] = Node(done[-1], right)
+        elif isinstance(x, Leaf):
+            done.append(new_leaf())
+        else:
+            stack += [None, x.right, x.left]
+    return done[0]
+
+
 def shape_of(t):
     """Copy of ``t`` with labels stripped."""
-    if isinstance(t, Leaf):
-        return Leaf(None)
-    return Node(shape_of(t.left), shape_of(t.right))
+    return _copy_with_leaves(t, Leaf)
 
 
 def random_shape(n, rng, counts):
@@ -79,14 +99,8 @@ def random_shape(n, rng, counts):
 
 def with_indexed_leaves(t, prefix="x"):
     """Relabel leaves ``x0, x1, ...`` left to right (labels stay distinct)."""
-    counter = iter(range(1_000_000))
-
-    def go(t):
-        if isinstance(t, Leaf):
-            return Leaf(f"{prefix}{next(counter)}")
-        return Node(go(t.left), go(t.right))
-
-    return go(t)
+    counter = count()
+    return _copy_with_leaves(t, lambda: Leaf(f"{prefix}{next(counter)}"))
 
 
 def reference_shortest(t):

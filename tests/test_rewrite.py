@@ -1,6 +1,7 @@
 """Single steps, redex order, and the two normalization strategies."""
 
 import random
+import time
 
 import pytest
 
@@ -32,6 +33,7 @@ from assocnf.terms import (
 
 from helpers import (
     catalan_counts,
+    comb_shape,
     random_shape,
     reference_longest,
     reference_shortest,
@@ -66,6 +68,27 @@ def test_find_redexes_tie_breaks_left_to_right():
     # both children of the root are redexes at depth 1
     t = parse("(((a*b)*c)*((d*e)*f))")
     assert find_redexes(t) == ["L", "R", ""]
+
+
+def test_find_redexes_matches_every_subterm_check():
+    def redex_paths(t, path):
+        if isinstance(t, Leaf):
+            return []
+        here = [path] if not isinstance(t.left, Leaf) else []
+        return here + redex_paths(t.left, path + "L") + redex_paths(t.right, path + "R")
+
+    for t in all_shapes_upto(8):
+        expected = sorted(redex_paths(t, ""), key=lambda p: (-len(p), p))
+        assert find_redexes(t) == expected
+
+
+def test_find_redexes_is_linear_on_deep_spines():
+    # Paths are built only at redexes: a long right spine costs O(size).
+    n = 200_000
+    for t, expected in [(right_chain(n), []), (comb_shape(n, 2), ["R" * n])]:
+        start = time.perf_counter()
+        assert find_redexes(t) == expected
+        assert time.perf_counter() - start < 2.0
 
 
 def test_apply_at_root():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from assocnf.oracle import enumerate_shapes
 from assocnf.terms import (
     Leaf,
     Node,
@@ -16,6 +17,8 @@ from assocnf.terms import (
     sigma,
     size,
 )
+
+from helpers import shape_of, with_indexed_leaves
 
 # The worked example used throughout: a 3-node left chain with labeled leaves.
 EXAMPLE = "(((a*b)*c)*d)"
@@ -191,6 +194,19 @@ def test_equality_and_hash():
     assert parse("(.*.)") != Leaf()
 
 
+def test_equal_terms_hash_equal_across_sharing():
+    # enumerate_shapes shares subtrees between shapes; the parsed copies
+    # share nothing but their leaves.
+    for n in range(8):
+        for t in enumerate_shapes(n):
+            copy = parse(render(t))
+            assert copy == t
+            assert hash(copy) == hash(t)
+            assert copy in {t} and t in {copy}
+    assert hash(Leaf()) == hash(parse("."))
+    assert Leaf("a") != "a"
+
+
 def test_shape_equality_ignores_nothing():
     # structural equality includes labels; same shape, different labels differ
     assert parse("((a*b)*c)") != parse("((.*.)*.)")
@@ -218,3 +234,11 @@ def test_deep_round_trip_is_stack_safe():
     back = parse(text)
     assert back == lc
     assert hash(back) == hash(lc)
+
+
+def test_deep_helper_copies_are_stack_safe():
+    n = 20_000
+    t = with_indexed_leaves(left_chain(n))
+    labels = render(t).replace("(", "").replace(")", "").split("*")
+    assert labels == [f"x{i}" for i in range(n + 1)]
+    assert shape_of(t) == left_chain(n)
