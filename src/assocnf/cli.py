@@ -15,7 +15,7 @@ from functools import cache
 from .oracle import (
     ENUMERATION_CAP,
     GRAPH_CAP,
-    _shapes,
+    _words,
     build_graph,
     enumerate_shapes,
     export_dot,
@@ -54,12 +54,18 @@ def _cmd_nf(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    trace = normalize(parse(args.term), args.strategy)
-    if not args.quiet:
-        print(f"start {render(trace.start)}")
-        for position, text in _step_texts(trace):
-            print(f"{format_position(position)} ⊳ {text}")
-        print(f"final {render(trace.final)}")
+    term = parse(args.term)
+    if args.quiet:
+        # The step counts are measures: sigma for longest, size - d_rm for
+        # shortest, so no normal form is built.
+        m = measure(term)
+        print(f"steps={m.sigma if args.strategy == 'longest' else m.size - m.d_rm}")
+        return 0
+    trace = normalize(term, args.strategy)
+    print(f"start {render(trace.start)}")
+    for position, text in _step_texts(trace):
+        print(f"{format_position(position)} ⊳ {text}")
+    print(f"final {render(trace.final)}")
     print(f"steps={trace.step_count}")
     return 0
 
@@ -73,7 +79,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
-        print(len(_shapes(args.n, args.cap)))
+        print(len(_words(args.n, args.cap)))
     else:
         for t in enumerate_shapes(args.n, cap=args.cap):
             print(render(t))

@@ -14,6 +14,8 @@ bits, most significant first, 0 for a node and 1 for a leaf.  Two facts:
   subterm starts, ``(`` against ``.``, so words sort as texts do;
 * a rotation is one addition: ``(x*y)*z -> x*(y*z)`` turns ``0 0 X ...``
   into ``0 X 0 ...``, that is, adds the bits of ``X``, in place, to the word.
+  That added value is the rotation's amount; no word is scanned for it, as
+  each shape's amounts come from its children's in the split recurrence.
 
 Node ``i`` is the ``i``-th word; edges are index tuples, and searches and
 checks run on indices.  Strings are made once per shape, for output: nodes
@@ -67,18 +69,22 @@ class CapExceeded(ValueError):
     """Requested size is above the resource cap; pass ``cap=`` to override."""
 
 
-def _shapes(n: int, cap: int, leaf=None, node=lambda left, right: None) -> list[tuple]:
+def _check_size(n: int, cap: int) -> None:
+    if n < 0:
+        raise ValueError("shape size must be nonnegative")
+    if n > cap:
+        raise CapExceeded(f"n={n} exceeds enumeration cap {cap}")
+
+
+def _shapes(n: int, cap: int, leaf, node) -> list[tuple]:
     """Every shape of size ``n`` as a ``(word, value)`` pair, in word order.
 
     Built from the split recurrence (left subtree of size ``i``, right of
     size ``n-1-i``), so the count follows the Catalan recurrence.  A value
     is ``leaf`` for a leaf and ``node(left, right)`` for a node, shared by
-    equal subtrees; by default only the words are built.
+    equal subtrees.
     """
-    if n < 0:
-        raise ValueError("shape size must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds enumeration cap {cap}")
+    _check_size(n, cap)
     by_size: list[list[tuple]] = [[(1, leaf)]]
     for m in range(1, n + 1):
         shapes = []
@@ -95,32 +101,26 @@ def _shapes(n: int, cap: int, leaf=None, node=lambda left, right: None) -> list[
     return shapes
 
 
+def _words(n: int, cap: int) -> list[int]:
+    """The words alone of :func:`_shapes`, ascending."""
+    _check_size(n, cap)
+    by_size = [[1]]
+    for m in range(1, n + 1):
+        words: list[int] = []
+        for i in range(m):
+            rights = by_size[m - 1 - i]
+            shift = 2 * (m - 1 - i) + 1
+            for lw in by_size[i]:
+                words += map((lw << shift).__or__, rights)
+        by_size.append(words)
+    words = by_size[n]
+    words.sort()
+    return words
+
+
 def enumerate_shapes(n: int, cap: int = ENUMERATION_CAP) -> list[Term]:
     """All unlabeled shapes with ``n`` internal nodes, sorted by canonical text."""
     return [t for _, t in _shapes(n, cap, Leaf(None), Node)]
-
-
-def _successors(w: int, nbits: int) -> list[int]:
-    """Words one rotation away from the ``nbits``-bit word ``w``.
-
-    One scan from the least significant bit reads the word backwards: a leaf
-    pushes its offset, a node pops its left child's lowest offset.  A node
-    at ``k`` whose left child is the node at ``k-1`` is a redex; that child's
-    left child ``X`` spans offsets ``prev..k-2``, and the rotation adds
-    ``w``'s bits there to ``w``.
-    """
-    lows: list[int] = []  # lowest bit offset of each pending subtree
-    out = []
-    prev = -1  # lowest offset of the left child of a node at k-1, else -1
-    for k in range(nbits):
-        if w >> k & 1:
-            lows.append(k)
-            prev = -1
-        else:
-            if prev >= 0:
-                out.append(w + (w & ((1 << (k - 1)) - (1 << prev))))
-            prev = lows.pop()
-    return out
 
 
 @dataclass(eq=False)
@@ -202,16 +202,43 @@ class RewriteGraph:
 
 
 def build_graph(n: int, cap: int = GRAPH_CAP) -> RewriteGraph:
-    """Materialize the rewrite graph over every shape of size ``n``."""
+    """Materialize the rewrite graph over every shape of size ``n``.
+
+    The amounts of ``l*r`` are those of ``r``, then those of ``l`` shifted by
+    ``bits(r)``, then, if ``l = x*y``, the root's ``word(x) << (bits(y) +
+    bits(r))``.  They ascend, so targets need no sort: ``r``'s are below
+    ``2**bits(r)``, and one inside ``l`` adds a left-left subtree, which never
+    holds the last leaf of its ``x`` or ``y``, so it is below the root's.
+    """
     if n > cap:
         raise CapExceeded(f"n={n} exceeds graph cap {cap}")
-    shapes = _shapes(n, cap, ".", "({}*{})".format)
-    index = {w: i for i, (w, _) in enumerate(shapes)}.__getitem__
-    nbits = 2 * n + 1
+    _check_size(n, cap)
+    # A shape is (word, text, amounts, its root amount as a left child before
+    # the shift, () for the leaf); at size n, amounts stay as two references,
+    # r's tuple and l's shifted tuple.
+    by_size: list[list[tuple]] = [[(1, ".", (), ())]]
+    for m in range(1, n + 1):
+        shapes = []
+        for i in range(m):
+            rights = by_size[m - 1 - i]
+            shift = 2 * (m - 1 - i) + 1
+            for lw, lt, la, root in by_size[i]:
+                high = lw << shift
+                ls = tuple([a << shift for a in la] + [root << shift]) if i else ()
+                if m < n:
+                    shapes += [(high | rw, f"({lt}*{rt})", ra + ls, high)
+                               for rw, rt, ra, _ in rights]
+                else:
+                    shapes += [(high | rw, f"({lt}*{rt})", ra, ls)
+                               for rw, rt, ra, _ in rights]
+        by_size.append(shapes)
+    shapes = by_size[n]
+    shapes.sort(key=itemgetter(0))
+    index = {s[0]: i for i, s in enumerate(shapes)}
     targets = tuple(
-        [tuple(sorted(map(index, _successors(w, nbits)))) for w, _ in shapes]
+        [tuple([index[w + a] for a in ra + ls]) for w, _, ra, ls in shapes]
     )
-    return RewriteGraph(n=n, nodes=tuple([t for _, t in shapes]), targets=targets)
+    return RewriteGraph(n=n, nodes=tuple([s[1] for s in shapes]), targets=targets)
 
 
 def verify_sn(g: RewriteGraph) -> bool:

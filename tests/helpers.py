@@ -2,9 +2,11 @@
 
 The measures and shapes here are written as the plainest possible recursion
 or recurrence, independent of the library's iterative implementations, so
-tests can compare the two sides; they are only meant for small terms.  The
-reference strategies replay each step the slow, obvious way.  The
-relabelling copies and the large shape generators at the end are iterative.
+tests can compare the two sides; they are only meant for small terms.
+``scan_successors`` reads each word's rotations bit by bit, the reference for
+the oracle's recurrence.  The reference strategies replay each step the slow,
+obvious way.  The relabelling copies and the large shape generators at the end
+are iterative.
 """
 
 from itertools import count
@@ -29,6 +31,29 @@ _WORD_BITS = str.maketrans({"(": "0", ".": "1", "*": None, ")": None})
 def preorder_word(text):
     """The preorder word of a canonical unlabeled text, as an integer."""
     return int(text.translate(_WORD_BITS), 2)
+
+
+def scan_successors(w: int, nbits: int) -> list[int]:
+    """Words one rotation away from the ``nbits``-bit word ``w``.
+
+    One scan from the least significant bit reads the word backwards: a leaf
+    pushes its offset, a node pops its left child's lowest offset.  A node
+    at ``k`` whose left child is the node at ``k-1`` is a redex; that child's
+    left child ``X`` spans offsets ``prev..k-2``, and the rotation adds
+    ``w``'s bits there to ``w``.
+    """
+    lows: list[int] = []  # lowest bit offset of each pending subtree
+    out = []
+    prev = -1  # lowest offset of the left child of a node at k-1, else -1
+    for k in range(nbits):
+        if w >> k & 1:
+            lows.append(k)
+            prev = -1
+        else:
+            if prev >= 0:
+                out.append(w + (w & ((1 << (k - 1)) - (1 << prev))))
+            prev = lows.pop()
+    return out
 
 
 def naive_size(t):

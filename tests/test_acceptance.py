@@ -14,7 +14,6 @@ from collections import Counter
 import pytest
 
 from assocnf.oracle import (
-    _successors,
     build_graph,
     enumerate_shapes,
     longest_paths,
@@ -44,6 +43,7 @@ from helpers import (
     random_shape,
     remy_shape,
     right_chain_over,
+    scan_successors,
     subterm_at,
     with_indexed_leaves,
 )
@@ -131,7 +131,7 @@ def test_criterion_4_strategies_match_oracles(universe):
     def successors(key):
         found = succ_memo.get(key)
         if found is None:
-            found = succ_memo[key] = _successors(key, nbits)
+            found = succ_memo[key] = scan_successors(key, nbits)
         return found
 
     def longest_to_nf(key):

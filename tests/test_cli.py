@@ -151,6 +151,19 @@ def test_trace_quiet(capsys):
     assert out == "steps=3\n"
 
 
+def test_trace_quiet_counts_without_normalizing(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("trace --quiet built a normal form")
+
+    monkeypatch.setattr(cli, "normalize", fail)
+    for n in range(8):
+        for t in enumerate_shapes(n):
+            for strategy in STRATEGIES:
+                code, out, _ = run(capsys, "trace", "--quiet", "--strategy", strategy, render(t))
+                assert code == 0
+                assert out == f"steps={normalize(t, strategy).step_count}\n", (render(t), strategy)
+
+
 def test_metrics_example(capsys):
     code, out, _ = run(capsys, "metrics", "(((a*b)*c)*d)")
     assert code == 0
@@ -250,6 +263,24 @@ def test_verify_and_graph_output_bytes_are_pinned(tmp_path, capsys):
     code, out, _ = run(capsys, "graph", "7")
     assert code == 0
     assert _sha256(out) == "ce6df50d574b5ca4406be1c7708fed0de97b0095c961d80fb64a627cc3323103"
+
+
+def test_benchmark_sizes_output_bytes_are_pinned(tmp_path, capsys):
+    # The largest graph, verify and count-only sizes the benchmark runs.
+    path = tmp_path / "F"
+    code, out, _ = run(capsys, "graph", "9")
+    assert code == 0
+    assert _sha256(out) == "5f33b79969854f18ef9b977d352e7d140e413f5995ae9ec5c81ec54ed45a92ea"
+    code, out, _ = run(capsys, "verify", "--max-n", "9", "--records", str(path))
+    assert code == 0
+    assert _sha256(out) == "7d6aaa84ffafa2e03f87207e501207086287a2b3878bd7774fbc7ab9ccde3db0"
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        == "34ce1d615fae0cf5d4691fabad55869ed1525611507d18a915e28ae4a827c676"
+    )
+    code, out, _ = run(capsys, "enumerate", "11", "--count-only")
+    assert code == 0
+    assert _sha256(out) == "59324156bbf218d59b80046e9ab7e5fe3c0cc393870a45d47a3b3e24adbbf680"
 
 
 def _labeled_left_chain_text(n, labels=("a", "b", "c0", "x_1", "zz")):

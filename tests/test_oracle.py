@@ -26,8 +26,7 @@ from assocnf.oracle import (
     verify_sn,
     verify_unique_nf,
     verify_wcr,
-    _shapes,
-    _successors,
+    _words,
 )
 from assocnf.rewrite import apply_at, find_redexes
 from assocnf.terms import (
@@ -41,7 +40,7 @@ from assocnf.terms import (
     size,
 )
 
-from helpers import catalan_counts, preorder_word, random_shape
+from helpers import catalan_counts, preorder_word, random_shape, scan_successors
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +82,7 @@ def test_word_order_is_canonical_order():
         texts = [render(t) for t in enumerate_shapes(n)]
         assert len(set(texts)) == len(texts) == counts[n]
         assert texts == sorted(texts) == sorted(texts, key=preorder_word)
-        assert [w for w, _ in _shapes(n, ENUMERATION_CAP)] == [preorder_word(x) for x in texts]
+        assert _words(n, ENUMERATION_CAP) == [preorder_word(x) for x in texts]
 
 
 def test_word_kernel_matches_the_rewrite_rule():
@@ -93,7 +92,7 @@ def test_word_kernel_matches_the_rewrite_rule():
         g = build_graph(n)
         for t in shapes:
             key = render(t)
-            rotated = [text_of[v] for v in _successors(preorder_word(key), 2 * n + 1)]
+            rotated = [text_of[v] for v in scan_successors(preorder_word(key), 2 * n + 1)]
             expected = {render(apply_at(t, p)) for p in find_redexes(t)}
             assert len(rotated) == len(find_redexes(t)), key
             assert set(rotated) == expected, key
@@ -104,7 +103,7 @@ def test_word_kernel_matches_the_rewrite_rule():
     for _ in range(200):
         t = random_shape(12, rng, counts)
         key = render(t)
-        rotated = _successors(preorder_word(key), 25)
+        rotated = scan_successors(preorder_word(key), 25)
         expected = {render(apply_at(t, p)) for p in find_redexes(t)}
         assert len(rotated) == len(find_redexes(t)), key
         assert set(rotated) == {preorder_word(text) for text in expected}, key
@@ -159,6 +158,17 @@ def test_edge_count_is_the_tamari_cover_count(tamari_graphs):
     counts = catalan_counts(11)
     for n in range(1, 12):
         assert tamari_graphs[n].edge_count == (n - 1) * counts[n] // 2, n
+
+
+def test_recurrence_edges_match_the_scan_kernel(tamari_graphs):
+    # build_graph folds rotation amounts through the split recurrence and
+    # sorts no target tuple; the bit scan reads each word on its own
+    for n, g in tamari_graphs.items():
+        words = [preorder_word(text) for text in g.nodes]
+        index = {w: i for i, w in enumerate(words)}
+        for text, w, vs in zip(g.nodes, words, g.targets):
+            assert vs == tuple(sorted(index[v] for v in scan_successors(w, 2 * n + 1))), text
+            assert all(a < b for a, b in zip(vs, vs[1:])), text
 
 
 def test_out_degrees_are_the_narayana_numbers(tamari_graphs):
