@@ -54,18 +54,12 @@ def _cmd_nf(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    term = parse(args.term)
-    if args.quiet:
-        # The step counts are measures: sigma for longest, size - d_rm for
-        # shortest, so no normal form is built.
-        m = measure(term)
-        print(f"steps={m.sigma if args.strategy == 'longest' else m.size - m.d_rm}")
-        return 0
-    trace = normalize(term, args.strategy)
-    print(f"start {render(trace.start)}")
-    for position, text in _step_texts(trace):
-        print(f"{format_position(position)} ⊳ {text}")
-    print(f"final {render(trace.final)}")
+    trace = normalize(parse(args.term), args.strategy)
+    if not args.quiet:
+        print(f"start {render(trace.start)}")
+        for position, text in _step_texts(trace):
+            print(f"{format_position(position)} ⊳ {text}")
+        print(f"final {render(trace.final)}")
     print(f"steps={trace.step_count}")
     return 0
 

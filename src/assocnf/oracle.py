@@ -14,8 +14,8 @@ bits, most significant first, 0 for a node and 1 for a leaf.  Two facts:
   subterm starts, ``(`` against ``.``, so words sort as texts do;
 * a rotation is one addition: ``(x*y)*z -> x*(y*z)`` turns ``0 0 X ...``
   into ``0 X 0 ...``, that is, adds the bits of ``X``, in place, to the word.
-  That added value is the rotation's amount; no word is scanned for it, as
-  each shape's amounts come from its children's in the split recurrence.
+  That value is the rotation's amount, and each shape's amounts are built
+  from its children's, so no word is scanned for them.
 
 Node ``i`` is the ``i``-th word; edges are index tuples, and searches and
 checks run on indices.  Strings are made once per shape, for output: nodes
@@ -61,6 +61,8 @@ __all__ = [
 
 # Universe sizes are Catalan numbers; these caps keep accidental
 # exponential blowups out of interactive use.  Both are overridable.
+# build_graph keeps the rotation amounts of all smaller shapes: a process
+# peaks near 45 MiB at n = 11 and 130 MiB at n = 12 (37 and 97 without).
 ENUMERATION_CAP = 14
 GRAPH_CAP = 12
 
@@ -69,53 +71,49 @@ class CapExceeded(ValueError):
     """Requested size is above the resource cap; pass ``cap=`` to override."""
 
 
-def _check_size(n: int, cap: int) -> None:
+def _split(n: int, cap: int, leaf, join) -> list:
+    """Every shape of size ``n`` as an item, in split order.
+
+    Left subtree of size ``i``, right of size ``n-1-i``, so the count follows
+    the Catalan recurrence.  ``join(left, rights, shift, m)`` gives the size-m
+    items over ``left``, one per item of ``rights`` (words ``shift`` bits).
+    """
     if n < 0:
         raise ValueError("shape size must be nonnegative")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds enumeration cap {cap}")
+    by_size = [[leaf]]
+    for m in range(1, n + 1):
+        items = []
+        for i in range(m):
+            rights = by_size[m - 1 - i]
+            # The root's 0 bit leads the word, so it adds nothing to its value.
+            shift = 2 * (m - 1 - i) + 1
+            for left in by_size[i]:
+                items += join(left, rights, shift, m)
+        by_size.append(items)
+    return by_size[n]
 
 
 def _shapes(n: int, cap: int, leaf, node) -> list[tuple]:
     """Every shape of size ``n`` as a ``(word, value)`` pair, in word order.
 
-    Built from the split recurrence (left subtree of size ``i``, right of
-    size ``n-1-i``), so the count follows the Catalan recurrence.  A value
-    is ``leaf`` for a leaf and ``node(left, right)`` for a node, shared by
-    equal subtrees.
+    A value is ``leaf`` for a leaf and ``node(left, right)`` for a node,
+    shared by equal subtrees.
     """
-    _check_size(n, cap)
-    by_size: list[list[tuple]] = [[(1, leaf)]]
-    for m in range(1, n + 1):
-        shapes = []
-        for i in range(m):
-            rights = by_size[m - 1 - i]
-            # The root's 0 bit leads the word, so it adds nothing to its value.
-            shift = 2 * (m - 1 - i) + 1
-            for lw, lv in by_size[i]:
-                high = lw << shift
-                shapes += [(high | rw, node(lv, rv)) for rw, rv in rights]
-        by_size.append(shapes)
-    shapes = by_size[n]
+
+    def join(left, rights, shift, m):
+        high, lv = left[0] << shift, left[1]
+        return [(high | rw, node(lv, rv)) for rw, rv in rights]
+
+    shapes = _split(n, cap, (1, leaf), join)
     shapes.sort(key=itemgetter(0))
     return shapes
 
 
 def _words(n: int, cap: int) -> list[int]:
-    """The words alone of :func:`_shapes`, ascending."""
-    _check_size(n, cap)
-    by_size = [[1]]
-    for m in range(1, n + 1):
-        words: list[int] = []
-        for i in range(m):
-            rights = by_size[m - 1 - i]
-            shift = 2 * (m - 1 - i) + 1
-            for lw in by_size[i]:
-                words += map((lw << shift).__or__, rights)
-        by_size.append(words)
-    words = by_size[n]
-    words.sort()
-    return words
+    """The words of every shape of size ``n``, in split order."""
+    return _split(n, cap, 1, lambda lw, rights, shift, m: map((lw << shift).__or__, rights))
 
 
 def enumerate_shapes(n: int, cap: int = ENUMERATION_CAP) -> list[Term]:
@@ -212,27 +210,18 @@ def build_graph(n: int, cap: int = GRAPH_CAP) -> RewriteGraph:
     """
     if n > cap:
         raise CapExceeded(f"n={n} exceeds graph cap {cap}")
-    _check_size(n, cap)
-    # A shape is (word, text, amounts, its root amount as a left child before
-    # the shift, () for the leaf); at size n, amounts stay as two references,
-    # r's tuple and l's shifted tuple.
-    by_size: list[list[tuple]] = [[(1, ".", (), ())]]
-    for m in range(1, n + 1):
-        shapes = []
-        for i in range(m):
-            rights = by_size[m - 1 - i]
-            shift = 2 * (m - 1 - i) + 1
-            for lw, lt, la, root in by_size[i]:
-                high = lw << shift
-                ls = tuple([a << shift for a in la] + [root << shift]) if i else ()
-                if m < n:
-                    shapes += [(high | rw, f"({lt}*{rt})", ra + ls, high)
-                               for rw, rt, ra, _ in rights]
-                else:
-                    shapes += [(high | rw, f"({lt}*{rt})", ra, ls)
-                               for rw, rt, ra, _ in rights]
-        by_size.append(shapes)
-    shapes = by_size[n]
+
+    # Below n a shape is (word, text, amounts, root amount as a left child,
+    # unshifted; () for the leaf); at n, amounts stay as r's and l's shifted.
+    def join(left, rights, shift, m):
+        lw, lt, la, root = left
+        high = lw << shift
+        ls = tuple([a << shift for a in la] + [root << shift]) if root else ()
+        if m < n:
+            return [(high | rw, f"({lt}*{rt})", ra + ls, high) for rw, rt, ra, _ in rights]
+        return [(high | rw, f"({lt}*{rt})", ra, ls) for rw, rt, ra, _ in rights]
+
+    shapes = _split(n, cap, (1, ".", (), ()), join)
     shapes.sort(key=itemgetter(0))
     index = {s[0]: i for i, s in enumerate(shapes)}
     targets = tuple(

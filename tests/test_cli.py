@@ -151,19 +151,6 @@ def test_trace_quiet(capsys):
     assert out == "steps=3\n"
 
 
-def test_trace_quiet_counts_without_normalizing(capsys, monkeypatch):
-    def fail(*args):
-        raise AssertionError("trace --quiet built a normal form")
-
-    monkeypatch.setattr(cli, "normalize", fail)
-    for n in range(8):
-        for t in enumerate_shapes(n):
-            for strategy in STRATEGIES:
-                code, out, _ = run(capsys, "trace", "--quiet", "--strategy", strategy, render(t))
-                assert code == 0
-                assert out == f"steps={normalize(t, strategy).step_count}\n", (render(t), strategy)
-
-
 def test_metrics_example(capsys):
     code, out, _ = run(capsys, "metrics", "(((a*b)*c)*d)")
     assert code == 0
