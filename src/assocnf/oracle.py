@@ -20,8 +20,9 @@ bits, most significant first, 0 for a node and 1 for a leaf.  Two facts:
 Node ``i`` is the ``i``-th word; edges are index tuples, and searches and
 checks run on indices.  Strings are made once per shape, for output: nodes
 are canonical term strings (see :func:`assocnf.terms.render`), sorted, so
-reports and DOT exports are byte-stable.  Confluence is decided on acyclic
-graphs only, since a cycle already fails termination.
+reports and DOT exports are byte-stable.  Every edge goes to a larger word,
+so built graphs are acyclic; every search and check but :func:`verify_sn`
+relies on that and raises ``ValueError`` on a cycle.
 """
 
 from __future__ import annotations
@@ -167,36 +168,31 @@ class RewriteGraph:
         return order if len(order) == len(targets) else None
 
     @cached_property
-    def _sink_distance(self) -> list[int | None]:
-        """Shortest distance to a sink by reverse BFS; ``None`` if none."""
-        pred: list[list[int]] = [[] for _ in self.targets]
-        for u, vs in enumerate(self.targets):
-            for v in vs:
-                pred[v].append(u)
-        dist: list[int | None] = [None] * len(pred)
-        queue = [u for u, vs in enumerate(self.targets) if not vs]
-        for u in queue:
-            dist[u] = 0
-        for u in queue:
-            d = dist[u] + 1
-            for w in pred[u]:
-                if dist[w] is None:
-                    dist[w] = d
-                    queue.append(w)
+    def _reverse_order(self) -> list[int]:
+        """Each node after its successors; the one place a cycle raises."""
+        order = self._topo_order
+        if order is None:
+            raise ValueError("the rewrite graph has a cycle")
+        return order[::-1]
+
+    def _fold(self, pick) -> list[int]:
+        """Distance to a sink: 0 at sinks, else 1 + ``pick`` of the successors'."""
+        targets = self.targets
+        dist = [0] * len(targets)
+        for u in self._reverse_order:
+            if targets[u]:
+                dist[u] = 1 + pick(map(dist.__getitem__, targets[u]))
         return dist
 
     @cached_property
     def _longest_distance(self) -> list[int]:
-        """Longest distance to a sink, by reverse topological order."""
-        order = self._topo_order
-        if order is None:
-            raise ValueError("longest paths are undefined on a cyclic graph")
-        targets = self.targets
-        dist = [0] * len(targets)
-        for u in reversed(order):
-            if targets[u]:
-                dist[u] = 1 + max(map(dist.__getitem__, targets[u]))
-        return dist
+        """Longest distance to a sink."""
+        return self._fold(max)
+
+    @cached_property
+    def _sink_distance(self) -> list[int]:
+        """Shortest distance to a sink."""
+        return self._fold(min)
 
 
 def build_graph(n: int, cap: int = GRAPH_CAP) -> RewriteGraph:
@@ -242,13 +238,10 @@ def verify_wcr(g: RewriteGraph) -> bool:
     sink, so one pass computes reachable-sink bitmasks (one bit per sink)
     and each divergence is one ``&``.  Raises ``ValueError`` on a cycle.
     """
-    order = g._topo_order
-    if order is None:
-        raise ValueError("local confluence is checked on acyclic graphs only")
     targets = g.targets
     sinks = [0] * len(targets)
     bit = 1
-    for u in reversed(order):
+    for u in g._reverse_order:
         if targets[u]:
             mask = 0
             for v in targets[u]:
@@ -263,8 +256,12 @@ def verify_wcr(g: RewriteGraph) -> bool:
 
 
 def verify_unique_nf(g: RewriteGraph) -> bool:
-    """Exactly one sink, and every node reaches it."""
-    return len(g.sinks()) == 1 and None not in g._sink_distance
+    """Exactly one sink, which every node of an acyclic graph then reaches.
+
+    Raises ``ValueError`` on a cycle.
+    """
+    g._reverse_order  # raises on a cycle
+    return len(g.sinks()) == 1
 
 
 def longest_paths(g: RewriteGraph) -> dict[str, int]:
@@ -273,12 +270,8 @@ def longest_paths(g: RewriteGraph) -> dict[str, int]:
 
 
 def shortest_paths(g: RewriteGraph) -> dict[str, int]:
-    """Shortest path length from each node to a sink, by reverse BFS.
-
-    Nodes that cannot reach a sink (possible only in cyclic graphs) are
-    absent from the result.
-    """
-    return {u: d for u, d in zip(g.nodes, g._sink_distance) if d is not None}
+    """Shortest path length from each node to a sink, by topological order."""
+    return dict(zip(g.nodes, g._sink_distance))
 
 
 def _graph_index(g: RewriteGraph, t: Term | str) -> int:
@@ -295,15 +288,8 @@ def longest_path_from(g: RewriteGraph, t: Term | str) -> int:
 
 
 def shortest_path_from(g: RewriteGraph, t: Term | str) -> int:
-    """Exact shortest rewrite distance from ``t`` to the normal-form sink.
-
-    Raises ``KeyError`` if ``t`` reaches no sink (only in cyclic graphs).
-    """
-    i = _graph_index(g, t)
-    d = g._sink_distance[i]
-    if d is None:
-        raise KeyError(g.nodes[i])
-    return d
+    """Exact shortest rewrite distance from ``t`` to the normal-form sink."""
+    return g._sink_distance[_graph_index(g, t)]
 
 
 @dataclass(frozen=True)

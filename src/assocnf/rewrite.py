@@ -24,10 +24,10 @@ from in-order leaf chunks instead (``_step_texts``), the pieces of
 of the text, so each step costs O(depth of the step) plus one join, and no
 term is built or rendered after the start.
 
-Single steps, :func:`apply_at` and :func:`step_shortest`, rotate through
-one kernel, ``_rotate``.  The cursor loop behind both strategies' normal
-forms peels each run of rotations at one position as a whole instead,
-building one node per rotation (``_normalize_spine``).
+:func:`apply_at` is the only single-step rotation; :func:`step_shortest`
+finds its position and calls it.  The cursor loop behind both strategies'
+normal forms peels each run of rotations at one position as a whole
+instead, building one node per rotation (``_normalize_spine``).
 
 Positions are strings over ``L``/``R`` read from the root; the empty string
 is the root and prints as ``ε``.  When redexes are listed or chosen, deeper
@@ -185,12 +185,6 @@ def find_redexes(t: Term) -> list[Position]:
     return found
 
 
-def _rotate(redex: Node) -> Node:
-    """The rotation kernel: ``(x*y)*z -> x*(y*z)``; ``redex.left`` is a node."""
-    inner = redex.left
-    return Node(inner.left, Node(inner.right, redex.right))  # type: ignore[union-attr]
-
-
 def apply_at(t: Term, p: Position) -> Term:
     """Rewrite ``(x*y)*z -> x*(y*z)`` at position ``p`` of ``t``.
 
@@ -208,7 +202,8 @@ def apply_at(t: Term, p: Position) -> Term:
         cur = cur.left if ch == "L" else cur.right
     if not isinstance(cur, Node) or not isinstance(cur.left, Node):
         raise NotARedex(p)
-    result: Term = _rotate(cur)
+    inner = cur.left
+    result: Term = Node(inner.left, Node(inner.right, cur.right))
     while spine:
         parent = spine.pop()
         if p[len(spine)] == "L":
@@ -218,39 +213,23 @@ def apply_at(t: Term, p: Position) -> Term:
     return result
 
 
-def _descend(focus: Term, lefts: list[Term]) -> Term:
-    """Walk down the right spine past nodes whose left child is a leaf.
-
-    Appends those leaves to ``lefts`` and returns the first subterm that is a
-    leaf or has a node as its left child: the shortest strategy's redex.
-    """
-    while isinstance(focus, Node) and isinstance(focus.left, Leaf):
-        lefts.append(focus.left)
-        focus = focus.right
-    return focus
-
-
-def _reattach(lefts: list[Term], focus: Term) -> Term:
-    """Hang ``focus`` back under the right spine whose left leaves are ``lefts``."""
-    for left in reversed(lefts):
-        focus = Node(left, focus)
-    return focus
-
-
 def step_shortest(t: Term) -> tuple[Term, Position] | None:
     """Apply one rewrite at the shallowest redex on the rightmost path.
 
-    Scans down the right spine past nodes whose left child is a leaf and
-    fires at the first node whose left child is a node.  Returns ``None``
-    iff ``t`` is already in normal form; otherwise ``(rewritten, position)``,
-    and the rewrite is guaranteed to push the rightmost leaf exactly one
-    edge deeper.  This is one step of the loop in :func:`normalize_shortest`.
+    Scans down the right spine past nodes whose left child is a leaf, to
+    depth ``k``, and fires there with :func:`apply_at` at ``R^k``.  Returns
+    ``None`` iff ``t`` is already in normal form; otherwise ``(rewritten,
+    position)``, and the rewrite is guaranteed to push the rightmost leaf
+    exactly one edge deeper.  This is one step of the loop in
+    :func:`normalize_shortest`.
     """
-    lefts: list[Term] = []
-    focus = _descend(t, lefts)
+    focus, k = t, 0
+    while isinstance(focus, Node) and isinstance(focus.left, Leaf):
+        focus, k = focus.right, k + 1
     if not isinstance(focus, Node):
         return None
-    return _reattach(lefts, _rotate(focus)), "R" * len(lefts)
+    p = "R" * k
+    return apply_at(t, p), p
 
 
 def _normalize_spine(t: Term) -> tuple[Term, list[tuple[int, int]]]:
@@ -280,8 +259,12 @@ def _normalize_spine(t: Term) -> tuple[Term, list[tuple[int, int]]]:
         while isinstance(focus, Node) and isinstance(focus.left, Leaf):
             focus = focus.right
         if not isinstance(focus, Node):
-            return _reattach(lefts, top), runs
-        _descend(top, lefts)
+            for left in reversed(lefts):
+                top = Node(left, top)
+            return top, runs
+        while top is not focus:
+            lefts.append(top.left)
+            top = top.right
         acc, inner = focus.right, focus.left
         count = 0
         while isinstance(inner, Node):

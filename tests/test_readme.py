@@ -19,7 +19,11 @@ def test_readme_has_python_examples():
     assert BLOCKS
 
 
-@pytest.mark.parametrize("lineno,block", BLOCKS)
+# Ids count blocks, so prose edits above a block do not rename its test.
+@pytest.mark.parametrize(
+    "lineno,block",
+    [pytest.param(*b, id=f"block{k}") for k, b in enumerate(BLOCKS)],
+)
 def test_readme_example_runs(lineno, block):
     parser = doctest.DocTestParser()
     test = parser.get_doctest(block, {}, "README", str(README), lineno)
