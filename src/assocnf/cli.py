@@ -82,10 +82,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports = verify_all(args.max_n, cap=args.cap)
-    sys.stdout.write(report_table(reports))
+    # Records first, so a bad path leaves stdout empty, as in nf --file.
     if args.records is not None:
         with open(args.records, "w", encoding="utf-8") as fh:
             fh.write(records_jsonl(reports))
+    sys.stdout.write(report_table(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -27,7 +27,7 @@ relies on that and raises ``ValueError`` on a cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
@@ -122,19 +122,15 @@ def enumerate_shapes(n: int, cap: int = ENUMERATION_CAP) -> list[Term]:
     return [t for _, t in _shapes(n, cap, Leaf(None), Node)]
 
 
-@dataclass(eq=False)
-class RewriteGraph:
+class RewriteGraph(namedtuple("RewriteGraph", "n nodes targets")):
     """Single-step rewrite graph over canonical term strings.
 
     ``targets[i]`` holds the indices into ``nodes`` of node ``i``'s
     successors, ascending.  ``succ`` is a view derived from it that maps
     each node to ``{successor: 1}``.  Graphs are not changed once built, so
-    searches are computed once.
+    searches are computed once.  No ``__slots__``: the cached searches live
+    in the instance ``__dict__``.
     """
-
-    n: int
-    nodes: tuple[str, ...]
-    targets: tuple[tuple[int, ...], ...]
 
     @cached_property
     def succ(self) -> dict[str, dict[str, int]]:
@@ -292,31 +288,22 @@ def shortest_path_from(g: RewriteGraph, t: Term | str) -> int:
     return g._sink_distance[_graph_index(g, t)]
 
 
-@dataclass(frozen=True)
-class TermRecord:
+class TermRecord(namedtuple("TermRecord", "term size sigma d_rm longest shortest")):
     """Measures and oracle path lengths for one shape."""
 
-    term: str
-    size: int
-    sigma: int
-    d_rm: int
-    longest: int
-    shortest: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "n records sn_ok wcr_ok unique_nf_ok longest_matches_sigma"
+        " shortest_matches_formula max_longest max_attained_by",
+    )
+):
     """Outcome of all checks over every shape of one size."""
 
-    n: int
-    records: tuple[TermRecord, ...]
-    sn_ok: bool
-    wcr_ok: bool
-    unique_nf_ok: bool
-    longest_matches_sigma: bool
-    shortest_matches_formula: bool
-    max_longest: int
-    max_attained_by: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -36,8 +36,8 @@ positions come first and ties break lexicographically with ``L < R``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import islice, repeat
 
 from .terms import Leaf, Node, Term, render, sigma
@@ -93,16 +93,13 @@ class NotARedex(RewriteError):
         )
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(namedtuple("Step", "position term_after")):
     """One rewrite application: where it fired and the whole term after."""
 
-    position: Position
-    term_after: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(namedtuple("Trace", "start final strategy step_count")):
     """A rewrite sequence from ``start`` to its normal form ``final``.
 
     Holds no intermediate term and no position: ``step_count`` is stored,
@@ -111,10 +108,7 @@ class Trace:
     trace costs nothing beyond ``start`` and ``final``.
     """
 
-    start: Term
-    final: Term
-    strategy: str
-    step_count: int
+    __slots__ = ()
 
     @property
     def steps(self) -> Steps:

@@ -13,7 +13,7 @@ a million deep are handled without touching the interpreter recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "Term",
@@ -99,8 +99,7 @@ class Node(Term):
         return f"parse({render(self)!r})"
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(namedtuple("Metrics", "size sigma d_rm is_nf")):
     """Size, left-weight, rightmost-leaf depth, and NF status of one term.
 
     ``size`` counts internal nodes.  ``sigma`` is the sum over internal nodes
@@ -111,10 +110,7 @@ class Metrics:
     A term is in normal form exactly when ``d_rm == size``.
     """
 
-    size: int
-    sigma: int
-    d_rm: int
-    is_nf: bool
+    __slots__ = ()
 
 
 class ParseError(ValueError):

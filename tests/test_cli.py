@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +236,15 @@ def test_verify_writes_records(tmp_path, capsys):
     assert all(set(r) == {"term", "n", "sigma", "d_rm", "longest", "shortest"} for r in records)
 
 
+def test_verify_bad_records_path_prints_nothing(tmp_path, capsys):
+    # the records file is written before the table, so a path that cannot
+    # be opened leaves stdout empty, as a bad nf --file line does
+    code, out, err = run(capsys, "verify", "--max-n", "1", "--records", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -378,3 +391,21 @@ def test_graph_negative_size_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: shape size must be nonnegative\n"
+
+
+def test_closed_pipe_exits_2_with_one_error_line():
+    # enumerate 10 prints about 700 KB, well over a pipe buffer, so the
+    # process is still writing when the reader goes away
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "assocnf.cli", "enumerate", "10"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"((((((((((.*.)*.)*.)*.)*.)*.)*.)*.)*.)*.)\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b"error: [Errno 32] Broken pipe\n"

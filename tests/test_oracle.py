@@ -242,6 +242,22 @@ def test_reachable_pairs_are_the_tamari_intervals(tamari_graphs):
         assert sum(r.bit_count() for r in below) == expected[n], n
 
 
+def test_every_length_between_the_two_exact_answers(tamari_graphs):
+    # bit k of lengths[u] is set iff some rewrite sequence from u to the
+    # normal form takes exactly k steps
+    for n in range(1, 11):
+        g = tamari_graphs[n]
+        lengths = [0] * len(g.targets)
+        for u in g._reverse_order:
+            bits = 0 if g.targets[u] else 1
+            for v in g.targets[u]:
+                bits |= lengths[v] << 1
+            lengths[u] = bits
+        for text, bits in zip(g.nodes, lengths):
+            m = measure(parse(text))
+            assert bits == (1 << (m.sigma + 1)) - (1 << (n - m.d_rm)), text
+
+
 def test_graph_cap():
     with pytest.raises(CapExceeded):
         build_graph(13)

@@ -1,4 +1,9 @@
-"""The package's exported names."""
+"""The package's exported names and what importing it costs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import assocnf
 
@@ -21,3 +26,17 @@ def test_exported_names_are_unchanged():
     }
     assert len(assocnf.__all__) == len(set(assocnf.__all__))
     assert all(hasattr(assocnf, name) for name in assocnf.__all__)
+
+
+def test_cli_import_pulls_in_no_dataclasses_or_inspect():
+    # dataclasses imports inspect, ast, dis and tokenize, a large share of
+    # every CLI process's start-up; the records are namedtuples instead
+    code = "import sys, assocnf.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(assocnf.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"
