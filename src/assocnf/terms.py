@@ -9,6 +9,9 @@ Terms are immutable values: share them freely, never mutate ``left``/``right``.
 Terms compare by structure, labels included, and hash as their canonical text.
 Every operation here walks trees with explicit stacks so that chains nested
 a million deep are handled without touching the interpreter recursion limit.
+Each is one walk: :func:`render` prints in text order and stacks only the
+right children it still owes, and :func:`measure` reads size, sigma and
+``d_rm`` from a single pass over the nodes.
 """
 
 from __future__ import annotations
@@ -87,7 +90,12 @@ class Leaf(Term):
 
 
 class Node(Term):
-    """An internal node; rewriting never inspects anything but the shape."""
+    """An internal node; rewriting never inspects anything but the shape.
+
+    Both children must be terms.  That is not checked here, since
+    parsing and rewriting build one node per node or per rotation; a child
+    of another type makes :func:`render` raise ``AttributeError``.
+    """
 
     __slots__ = ("left", "right")
 
@@ -197,19 +205,22 @@ def parse(text: str) -> Term:
 def render(t: Term) -> str:
     """Canonical text of ``t``; injective, and ``parse(render(t)) == t``.
 
-    Right spines print inline: each node with a leaf left child is one
-    ``(label*`` and the spine ends in one run of ``)``.  A node left child
-    is entered down its left spine, stacking each spine node's ``*``, right
-    child and ``)`` for later, so only left edges touch the stack.
+    One walk, in text order.  A node with a leaf left child prints as
+    ``(label*`` and owes one ``)``; the walk goes on right, so a right spine
+    prints inline and ends in one run of ``)``.  At a node left child the
+    walk goes down that left spine to its first node with a leaf left child,
+    prints one ``(`` per node passed and stacks each passed node's right
+    child with the ``)``s owed after it.  At a leaf, the leaf and its run of
+    ``)`` print, then ``*`` and the next stacked right child.  The stack
+    holds only terms and counts, so a child that is not a term raises
+    ``AttributeError`` and is never printed.
     """
     out: list[str] = []
-    stack: list = [t]
-    while stack:
-        x = stack.pop()
-        if type(x) is str:
-            out.append(x)
-            continue
-        closes = 0
+    # Flat pairs, a pending right child then the ')'s owed after it: a tuple
+    # per pair would double the peak on a left chain.
+    stack: list = []
+    x, closes = t, 0
+    while True:
         while isinstance(x, Node):
             left = x.left
             if isinstance(left, Leaf):
@@ -217,34 +228,34 @@ def render(t: Term) -> str:
                 closes += 1
                 x = x.right
                 continue
-            # The spine's pending ')'s close after x's right subtree.
-            stack.append(")" * (closes + 1))
-            stack.append(x.right)
-            stack.append("*")
-            opens = 1
-            while isinstance(left.left, Node):
-                stack.append(")")
-                stack.append(left.right)
-                stack.append("*")
+            opens = 0
+            while not isinstance(left, Leaf):
+                stack.append(x.right)
+                stack.append(closes + 1)
+                x, left, closes = left, left.left, 0
                 opens += 1
-                left = left.left
             out.append("(" * opens)
-            x, closes = left, 0
         out.append(x.label or ".")
         if closes:
             out.append(")" * closes)
-    return "".join(out)
+        if not stack:
+            return "".join(out)
+        closes = stack.pop()
+        x = stack.pop()
+        out.append("*")
 
 
-def _size_sigma(t: Term) -> tuple[int, int]:
-    """``(size(t), sigma(t))`` in one walk.
+def _size_sigma(t: Term) -> tuple[int, int, int]:
+    """``(size(t), sigma(t), depth_rightmost(t))`` in one walk.
 
     Every internal node is credited once per ancestor that holds it in a
     left subtree.  The walk runs down right spines, where that count is
     constant, and stacks only left children that are nodes, so the stack
-    stays small on both chains.
+    stays small on both chains.  The root's right spine is walked first, so
+    the node count when it ends is ``d_rm``.
     """
     count = total = 0
+    d_rm = -1
     stack = [(t, 0)]
     while stack:
         x, left_ancestors = stack.pop()
@@ -254,7 +265,9 @@ def _size_sigma(t: Term) -> tuple[int, int]:
             if isinstance(x.left, Node):
                 stack.append((x.left, left_ancestors + 1))
             x = x.right
-    return count, total
+        if d_rm < 0:
+            d_rm = count
+    return count, total, d_rm
 
 
 def size(t: Term) -> int:
@@ -284,9 +297,9 @@ def is_normal_form(t: Term) -> bool:
     """True iff ``t`` has no redex, i.e. it is a pure right chain.
 
     Normal forms are exactly the terms whose rightmost leaf sits at depth
-    ``size(t)``, which is the test applied here.
+    ``size(t)``; both numbers come from the one walk of :func:`measure`.
     """
-    return depth_rightmost(t) == size(t)
+    return measure(t).is_nf
 
 
 def left_chain(n: int) -> Term:
@@ -316,7 +329,6 @@ def right_chain(n: int) -> Term:
 
 
 def measure(t: Term) -> Metrics:
-    """All measures of ``t`` in one record."""
-    count, total = _size_sigma(t)
-    d_rm = depth_rightmost(t)
+    """All measures of ``t`` in one record, from one walk."""
+    count, total, d_rm = _size_sigma(t)
     return Metrics(size=count, sigma=total, d_rm=d_rm, is_nf=d_rm == count)

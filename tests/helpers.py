@@ -10,6 +10,7 @@ are iterative.
 """
 
 from itertools import count
+from math import isqrt
 
 from assocnf.rewrite import apply_at, find_redexes
 from assocnf.terms import Leaf, Node, left_chain
@@ -213,4 +214,18 @@ def comb_shape(k, m):
     t = left_chain(m)
     for _ in range(k):
         t = Node(Leaf(None), t)
+    return t
+
+
+def spine_over_chains(n):
+    """A right spine of ``isqrt(n)`` nodes whose left children are left chains.
+
+    The ``n - isqrt(n)`` chain nodes are shared out as evenly as they go, so
+    a walk switches between a right spine and a left chain about √n times.
+    """
+    k = isqrt(n)
+    per, extra = divmod(n - k, k)
+    t = Leaf(None)
+    for i in range(k):
+        t = Node(left_chain(per + (i < extra)), t)
     return t

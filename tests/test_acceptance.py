@@ -9,6 +9,7 @@ check, since absolute constants depend on the machine).
 import gc
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -28,6 +29,7 @@ from assocnf.terms import (
     Node,
     depth_rightmost,
     left_chain,
+    measure,
     parse,
     render,
     right_chain,
@@ -44,6 +46,7 @@ from helpers import (
     remy_shape,
     right_chain_over,
     scan_successors,
+    spine_over_chains,
     subterm_at,
     with_indexed_leaves,
 )
@@ -270,6 +273,7 @@ ALLOCATION_FAMILIES = {
     "left_chain": left_chain,
     "remy": SHAPE_FAMILIES["remy"],
     "right_chain": right_chain,
+    "spine_over_chains": spine_over_chains,
 }
 
 
@@ -311,6 +315,58 @@ def test_allocation_counts_are_linear(family, n, constructions):
     print(
         f"PASS allocation gate: {family} of {n} nodes parses with {n} nodes "
         f"and one leaf per label, normalizes with at most {steps + n} nodes"
+    )
+
+
+# Peak bytes per node on Python 3.11, the larger reading of n = 1e3 and 1e4,
+# of parse and of the render that kept its pending '*' and ')' as strings on
+# its stack.  The gate allows 15% over them; measure has no reference, since
+# its stack stays small on every family here.
+PARSE_PEAK_REFERENCE = 48.3
+RENDER_PEAK_REFERENCE = {
+    "comb": 49.9,
+    "left_chain": 38.4,
+    "remy": 68.0,
+    "right_chain": 65.9,
+    "spine_over_chains": 34.1,
+}
+
+
+def _peak_bytes(fn, arg):
+    """tracemalloc peak of ``fn(arg)``, after one untraced call warms the
+    interpreter's free lists, with GC paused so no collection empties them."""
+    gc.disable()
+    try:
+        fn(arg)
+        tracemalloc.start()
+        try:
+            fn(arg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("n", [1_000, 10_000])
+@pytest.mark.parametrize("family", sorted(ALLOCATION_FAMILIES))
+def test_term_walk_peaks_are_linear(family, n):
+    # counts, not clocks: a peak is the same on every run of one Python
+    t = ALLOCATION_FAMILIES[family](n)
+    text = render(t)
+    bounds = {
+        parse: (text, 1.15 * PARSE_PEAK_REFERENCE),
+        render: (t, 1.15 * RENDER_PEAK_REFERENCE[family]),
+        measure: (t, 1.0),
+    }
+    peaks = {}
+    for fn, (arg, bound) in bounds.items():
+        peaks[fn.__name__] = per_node = _peak_bytes(fn, arg) / n
+        assert per_node <= bound, (fn.__name__, round(per_node, 2), bound)
+    print(
+        f"PASS peak gate: {family} of {n} nodes peaks at "
+        + ", ".join(f"{name} {b:.1f}" for name, b in peaks.items())
+        + " B/node"
     )
 
 

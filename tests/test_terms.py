@@ -1,5 +1,7 @@
 """Term construction, text format, and measures."""
 
+import random
+
 import pytest
 
 from assocnf.oracle import enumerate_shapes
@@ -18,7 +20,7 @@ from assocnf.terms import (
     size,
 )
 
-from helpers import shape_of, with_indexed_leaves
+from helpers import comb_shape, remy_shape, shape_of, spine_over_chains, with_indexed_leaves
 
 # The worked example used throughout: a 3-node left chain with labeled leaves.
 EXAMPLE = "(((a*b)*c)*d)"
@@ -118,6 +120,25 @@ def test_round_trip(text):
     assert parse(render(t)) == t
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        Node(parse("(a*b)"), ")"),
+        Node(parse("(a*b)"), "c"),
+        Node("a", "b"),
+        Node(Leaf("a"), 7),
+        Node(parse("(a*b)"), None),
+        Node(None, Leaf("a")),
+    ],
+    ids=["paren-str", "label-str", "str-children", "int-right", "none-right", "none-left"],
+)
+def test_render_rejects_children_that_are_not_terms(term):
+    # Node does not check its children, so render must never print a child
+    # that is not a term: a str child would read back as a different term
+    with pytest.raises(AttributeError):
+        render(term)
+
+
 def test_leaf_label_validation():
     assert Leaf("ab_0").label == "ab_0"
     assert Leaf().label is None
@@ -172,8 +193,17 @@ def test_chain_constructors():
 
 
 def test_measure_matches_components():
-    for text in [".", "a", EXAMPLE, "((a*b)*(c*d))", "(a*(b*(c*d)))"]:
-        t = parse(text)
+    terms = [parse(text) for text in [".", "a", EXAMPLE, "((a*b)*(c*d))", "(a*(b*(c*d)))"]]
+    terms += [t for n in range(8) for t in enumerate_shapes(n)]
+    # the five families of the allocation and peak-memory gates
+    terms += [
+        comb_shape(500, 500),
+        left_chain(1000),
+        remy_shape(1000, random.Random(1000)),
+        right_chain(1000),
+        spine_over_chains(1000),
+    ]
+    for t in terms:
         m = measure(t)
         assert m.size == size(t)
         assert m.sigma == sigma(t)
