@@ -3,9 +3,10 @@
 For a fixed size ``n`` the universe of unlabeled shapes is Catalan-sized, so
 every quantitative claim about rewriting can be checked outright: build the
 directed graph of single rewrite steps over all shapes, then read termination
-off acyclicity, confluence off sink uniqueness, and exact sequence lengths off
-longest/shortest path searches.  The path searches are deliberately
-independent of the strategy implementations they are used to check.
+off edges that all ascend in node order, confluence off sink uniqueness, and
+exact sequence lengths off longest/shortest path searches.  The path searches
+are deliberately independent of the strategy implementations they are used to
+check.
 
 The graph is built on preorder words: a shape of size ``n`` is ``2n+1``
 bits, most significant first, 0 for a node and 1 for a leaf.  Two facts:
@@ -21,8 +22,10 @@ Node ``i`` is the ``i``-th word; edges are index tuples, and searches and
 checks run on indices.  Strings are made once per shape, for output: nodes
 are canonical term strings (see :func:`assocnf.terms.render`), sorted, so
 reports and DOT exports are byte-stable.  Every edge goes to a larger word,
-so built graphs are acyclic; every search and check but :func:`verify_sn`
-relies on that and raises ``ValueError`` on a cycle.
+that is, a larger index, so index order is a topological order and no
+search needs to find one.  :func:`verify_sn` checks that every edge ascends;
+every other search and check relies on it and raises ``ValueError`` on an
+edge that does not ascend.
 """
 
 from __future__ import annotations
@@ -126,7 +129,9 @@ class RewriteGraph(namedtuple("RewriteGraph", "n nodes targets")):
     """Single-step rewrite graph over canonical term strings.
 
     ``targets[i]`` holds the indices into ``nodes`` of node ``i``'s
-    successors, ascending.  ``succ`` is a view derived from it that maps
+    successors, ascending, and every one is larger than ``i``: the searches
+    run over the nodes in reverse index order, and raise ``ValueError`` on
+    a graph that breaks this.  ``succ`` is a view derived from it that maps
     each node to ``{successor: 1}``.  Graphs are not changed once built, so
     searches are computed once.  No ``__slots__``: the cached searches live
     in the instance ``__dict__``.
@@ -148,28 +153,20 @@ class RewriteGraph(namedtuple("RewriteGraph", "n nodes targets")):
         return [u for u, vs in zip(self.nodes, self.targets) if not vs]
 
     @cached_property
-    def _topo_order(self) -> list[int] | None:
-        """Topological order (Kahn), or ``None`` if the graph has a cycle."""
-        targets = self.targets
-        indegree = [0] * len(targets)
-        for vs in targets:
-            for v in vs:
-                indegree[v] += 1
-        order = [u for u, d in enumerate(indegree) if not d]
-        for u in order:
-            for v in targets[u]:
-                indegree[v] -= 1
-                if not indegree[v]:
-                    order.append(v)
-        return order if len(order) == len(targets) else None
+    def _ascends(self) -> bool:
+        """Every edge goes to a larger index, so index order is topological.
 
-    @cached_property
-    def _reverse_order(self) -> list[int]:
-        """Each node after its successors; the one place a cycle raises."""
-        order = self._topo_order
-        if order is None:
-            raise ValueError("the rewrite graph has a cycle")
-        return order[::-1]
+        Reads every edge: a hand-built graph's target tuples need not be
+        sorted.
+        """
+        return all(u < v for u, vs in enumerate(self.targets) for v in vs)
+
+    @property
+    def _reverse_order(self) -> range:
+        """Each node after its successors; the one place a bad edge raises."""
+        if not self._ascends:
+            raise ValueError("the rewrite graph has an edge that does not ascend")
+        return range(len(self.targets) - 1, -1, -1)
 
     def _fold(self, pick) -> list[int]:
         """Distance to a sink: 0 at sinks, else 1 + ``pick`` of the successors'."""
@@ -223,8 +220,13 @@ def build_graph(n: int, cap: int = GRAPH_CAP) -> RewriteGraph:
 
 
 def verify_sn(g: RewriteGraph) -> bool:
-    """Strong normalization over a finite graph: no cycles."""
-    return g._topo_order is not None
+    """Strong normalization: the node index rises along every edge.
+
+    No rewrite sequence can then be longer than the node count, which is the
+    termination proof.  A graph with an edge to a smaller index gives False,
+    even without a cycle.
+    """
+    return g._ascends
 
 
 def verify_wcr(g: RewriteGraph) -> bool:
@@ -232,7 +234,8 @@ def verify_wcr(g: RewriteGraph) -> bool:
 
     On an acyclic graph two nodes are joinable iff they share a reachable
     sink, so one pass computes reachable-sink bitmasks (one bit per sink)
-    and each divergence is one ``&``.  Raises ``ValueError`` on a cycle.
+    and each divergence is one ``&``.  Raises ``ValueError`` on an edge that
+    does not ascend.
     """
     targets = g.targets
     sinks = [0] * len(targets)
@@ -254,19 +257,19 @@ def verify_wcr(g: RewriteGraph) -> bool:
 def verify_unique_nf(g: RewriteGraph) -> bool:
     """Exactly one sink, which every node of an acyclic graph then reaches.
 
-    Raises ``ValueError`` on a cycle.
+    Raises ``ValueError`` on an edge that does not ascend.
     """
-    g._reverse_order  # raises on a cycle
+    g._reverse_order  # raises on an edge that does not ascend
     return len(g.sinks()) == 1
 
 
 def longest_paths(g: RewriteGraph) -> dict[str, int]:
-    """Longest path length from each node to a sink, by topological order."""
+    """Longest path length from each node to a sink."""
     return dict(zip(g.nodes, g._longest_distance))
 
 
 def shortest_paths(g: RewriteGraph) -> dict[str, int]:
-    """Shortest path length from each node to a sink, by topological order."""
+    """Shortest path length from each node to a sink."""
     return dict(zip(g.nodes, g._sink_distance))
 
 

@@ -224,7 +224,7 @@ def render(t: Term) -> str:
         while isinstance(x, Node):
             left = x.left
             if isinstance(left, Leaf):
-                out.append(f"({left.label or '.'}*")
+                out += ("(", left.label or ".", "*")
                 closes += 1
                 x = x.right
                 continue

@@ -371,6 +371,16 @@ def test_longest_paths_reject_cycles():
         longest_paths(g)
 
 
+@pytest.mark.parametrize("targets", [((), (0,)), ((2,), (2, 0), ())])
+def test_acyclic_graphs_with_a_descending_edge_are_rejected(targets):
+    # no cycle, but an edge to a smaller index, first in its tuple or not
+    g = RewriteGraph(n=-1, nodes=("a", "b", "c")[: len(targets)], targets=targets)
+    assert not verify_sn(g)
+    for check in (longest_paths, verify_wcr, verify_unique_nf):
+        with pytest.raises(ValueError):
+            check(g)
+
+
 # ---------------------------------------------------------------------------
 # path oracles
 
