@@ -33,7 +33,6 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
-from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
 # parse, measure, find_redexes and apply_at are unused here, but
@@ -332,8 +331,12 @@ def verify_all(n_max: int, cap: int = GRAPH_CAP) -> list[VerificationReport]:
     A report passes iff termination, local confluence and sink uniqueness
     hold, the path oracles match ``sigma`` and ``size - d_rm`` on every
     shape, and the maximal longest path is ``n(n-1)/2``, attained by the
-    left chain.
+    left chain.  Raises :class:`CapExceeded` before building any graph if a
+    size above ``cap`` is asked for.
     """
+    # The first size over the cap, as build_graph would name it.
+    if (over := max(cap + 1, 0)) <= n_max:
+        raise CapExceeded(f"n={over} exceeds graph cap {cap}")
     reports = []
     for n in range(n_max + 1):
         g = build_graph(n, cap=cap)
@@ -393,8 +396,11 @@ def records_jsonl(reports: list[VerificationReport]) -> str:
 
     Lines are formatted directly, quoting with ``json.dumps``'s escaper.
     """
+    # Imported here, not at the top: json costs every CLI start-up a few ms.
+    from json.encoder import encode_basestring_ascii as quote
+
     lines = [
-        f'{{"term": {_quote(rec.term)}, "n": {rec.size}, "sigma": {rec.sigma}, '
+        f'{{"term": {quote(rec.term)}, "n": {rec.size}, "sigma": {rec.sigma}, '
         f'"d_rm": {rec.d_rm}, "longest": {rec.longest}, "shortest": {rec.shortest}}}'
         for r in reports
         for rec in r.records

@@ -16,13 +16,17 @@ Two strategies are provided with exact step counts:
   normal form is unique, so neither needs the steps themselves.
 
 Both return a :class:`Trace` that holds the start term, the normal form and
-the step count, never the intermediate terms.  Its ``steps`` view replays the
-steps as terms with :func:`apply_at` each time it is iterated, deriving the
-positions from the start term: O(size) per step.  The CLI prints a trace
-from in-order leaf chunks instead (``_step_texts``), the pieces of
-``render(start)`` split at ``*``: a rotation moves one ``(`` and one ``)``
-of the text, so each step costs O(depth of the step) plus one join, and no
-term is built or rendered after the start.
+the step count, never the intermediate terms.  Replaying a trace reads
+``render(start)`` once (``_rotations``): a rotation keeps the in-order order
+of leaves and nodes, so each step is a fixed set of in-order numbers of the
+start, and both strategies' steps come in closed form from arrays built in
+one pass over that text; nothing is rotated, rebuilt or walked down per
+step.  The ``steps`` view turns those positions into terms with
+:func:`apply_at` each time it is iterated, O(size) per step.  The CLI prints
+a trace from the pieces of ``render(start)`` split at ``*`` instead
+(``_step_texts``): a rotation moves one ``(`` and one ``)`` of the text, so
+each step costs four chunk edits and one join, and printing the steps
+builds no term at all.
 
 :func:`apply_at` is the only single-step rotation; :func:`step_shortest`
 finds its position and calls it.  The cursor loop behind both strategies'
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from itertools import islice, repeat
+from itertools import islice
 
 from .terms import Leaf, Node, Term, render, sigma
 
@@ -134,7 +138,7 @@ class Steps(Sequence):
 
     def __iter__(self) -> Iterator[Step]:
         cur = self._trace.start
-        for p in _POSITIONS[self._trace.strategy](cur):
+        for p, _, _, _, _ in _rotations(self._trace.strategy, render(cur)):
             cur = apply_at(cur, p)
             yield Step(p, cur)
 
@@ -164,6 +168,8 @@ def find_redexes(t: Term) -> list[Position]:
     counting ``R`` steps, and builds a path string only at a redex, whose
     left child is the only node it stacks.  Θ(size + sum of redex depths)
     time plus the sort; the output is Θ(sum of redex depths) characters.
+    Output-bound, so its memory may exceed O(size): that sum is up to
+    size²/2, and on ``left_chain(10**4)`` the list peaks at 49 MiB.
     """
     found: list[Position] = []
     stack: list[tuple[Term, str]] = [(t, "")]
@@ -226,13 +232,13 @@ def step_shortest(t: Term) -> tuple[Term, Position] | None:
     return apply_at(t, p), p
 
 
-def _normalize_spine(t: Term) -> tuple[Term, list[tuple[int, int]]]:
-    """The shortest strategy in O(size(t)): its normal form and its steps.
+def _normalize_spine(t: Term) -> tuple[Term, int]:
+    """The shortest strategy in O(size(t)): its normal form and step count.
 
     A cursor walks down the right spine.  Its focus stays at the same depth
-    ``k`` while it rotates and moves down only past a leaf left child.  The
-    steps come back as runs ``(k, count)``: ``count`` consecutive rotations
-    at position ``R^k``, with ``k`` increasing.
+    ``k`` while it rotates and moves down only past a leaf left child, so
+    the rotations come in runs at one position ``R^k``, with ``k``
+    increasing.
 
     A run peels the focus's left spine with one new ``Node`` per rotation
     and no intermediate focus: each spine node's right child is hung on top
@@ -244,7 +250,7 @@ def _normalize_spine(t: Term) -> tuple[Term, list[tuple[int, int]]]:
     for the ``k`` of the last run.  No node is passed more than twice.
     """
     lefts: list[Term] = []
-    runs: list[tuple[int, int]] = []
+    steps = 0
     top = t
     while True:
         # Below the last run's subtree there is no redex, and its leaves
@@ -255,127 +261,126 @@ def _normalize_spine(t: Term) -> tuple[Term, list[tuple[int, int]]]:
         if not isinstance(focus, Node):
             for left in reversed(lefts):
                 top = Node(left, top)
-            return top, runs
+            return top, steps
         while top is not focus:
             lefts.append(top.left)
             top = top.right
         acc, inner = focus.right, focus.left
-        count = 0
         while isinstance(inner, Node):
             acc = Node(inner.right, acc)
             inner = inner.left
-            count += 1
-        runs.append((len(lefts), count))
+            steps += 1
         lefts.append(inner)
         top = acc
 
 
-def _shortest_positions(t: Term) -> Iterator[Position]:
-    """Positions of the shortest strategy, replayed by its cursor loop."""
-    for k, count in _normalize_spine(t)[1]:
-        yield from repeat("R" * k, count)
+def _rotations(strategy: str, text: str) -> Iterator[tuple[Position, int, int, int, int]]:
+    """Each step of ``strategy`` from the term whose canonical text is ``text``.
 
+    A step ``(position, lo, a, b, hi)`` rotates node ``b``, whose left child
+    is node ``a``, over leaves ``lo..hi``.  Leaf ``j`` is the j-th leaf and
+    node ``i`` the i-th ``*`` of the text, so node ``i``'s left subtree ends
+    at leaf ``i``.  A rotation keeps the in-order order of leaves and nodes,
+    so these numbers hold in every term of the trace, and every step is read
+    off fixed arrays of the start: ``left``, ``right``, the last leaf
+    ``hi`` and, for the longest strategy, the first leaf ``lo`` of each
+    node.  The nodes with ``hi == n`` are the root's right spine.  Nodes are
+    numbered by their place in the text, not by identity, since terms share
+    subtrees.
 
-def _longest_positions(t: Term) -> Iterator[Position]:
-    """Positions of the deepest-leftmost strategy, from ``t`` alone.
+    * Shortest: a rotation at ``R^k`` moves onto the spine one node whose
+      first leaf is ``k``, and changes no other off-spine node's first leaf
+      or subtree.  So for ``k`` ascending it turns, top-down, each node off
+      the spine whose first leaf is ``k``.  They are node ``k``, when leaf
+      ``k`` is its left child, and the chain of nodes above it that each
+      have the one before as left child; the chain is climbed to its top
+      and turned on the way back down.
+    * Longest: take the start's redexes deepest level first, left to right.
+      When redex ``j`` at ``p`` is reached, the subterms below it are
+      already right chains, so it fires at ``p, pR, ...``, once per node of
+      its left subtree, each time with a leaf left-left subtree.  Rotations
+      inside ``p`` move no node outside it, so the later redexes keep their
+      positions and numbers.
 
-    Take the redexes of ``t`` deepest level first, left to right within a
-    level.  Each redex ``p`` then fires at ``p, pR, ..., pR^(size(p.left)-1)``:
-    when ``p`` is reached, the subterms below it are already right chains,
-    so each rotation there has a leaf left-left subtree and the only redex
-    it creates is one step further down the right spine.  Rotations inside
-    ``p`` move no node outside it, so the later redexes keep their positions
-    and their left subtrees keep their sizes.  O(size(t)) work besides the
-    positions themselves.
+    O(size) work besides the positions themselves.
     """
-    # Internal nodes in level order, with parent index and side; levels[d]
-    # is the index range of depth d.
-    nodes = [t] if isinstance(t, Node) else []
-    parent, went_left = [-1], [False]
-    levels = []
-    lo = 0
-    while lo < len(nodes):
-        levels.append(range(lo, len(nodes)))
-        for i in levels[-1]:
-            x = nodes[i]
-            for child, is_left in ((x.left, True), (x.right, False)):
-                if isinstance(child, Node):
-                    nodes.append(child)
-                    parent.append(i)
-                    went_left.append(is_left)
-        lo = levels[-1].stop
-    # Children follow their parents, so a reverse sweep totals subtree sizes.
-    sizes = [1] * len(nodes)
-    left_size = [0] * len(nodes)
-    for i in range(len(nodes) - 1, 0, -1):
-        sizes[parent[i]] += sizes[i]
-        if went_left[i]:
-            left_size[parent[i]] = sizes[i]
-    for level in reversed(levels):
-        for i in level:
-            if left_size[i]:
-                path = []
-                j = i
-                while j:
-                    path.append("L" if went_left[j] else "R")
-                    j = parent[j]
-                p = "".join(reversed(path))
-                for extra in range(left_size[i]):
-                    yield p + "R" * extra
-
-
-_POSITIONS = {"shortest": _shortest_positions, "longest": _longest_positions}
-
-
-def _step_texts(trace: Trace) -> Iterator[tuple[Position, str]]:
-    """``(position, render(term_after))`` for each step of ``trace``.
-
-    A rotation keeps the in-order order of leaves and nodes, so nothing is
-    ever renumbered: leaf ``j`` is the j-th leaf and node ``i`` the i-th
-    ``*`` of the text, whose left subtree ends at leaf ``i``.  Labels hold
-    no ``*``, so ``render(start).split("*")`` gives one chunk per leaf: the
-    leaf with its ``(`` before and its ``)`` after.  A rotation at ``b``
-    with left child ``a`` moves one ``(`` from the subtree's first leaf to
-    leaf ``a+1`` and one ``)`` from leaf ``b`` to the subtree's last leaf,
-    so a step costs one walk down its position and one join; no term is
-    built.  Nodes are numbered by position, not by identity, since terms
-    share subtrees.
-    """
-    chunks = render(trace.start).split("*")
-    # Rebuild the links: a '*' comes before every chunk but the first, and
-    # each ')' closes the latest open node.  done holds the numbers of
-    # finished subtrees (-1 for a leaf).
     left: list[int] = []  # child node numbers, -1 for a leaf
     right: list[int] = []
+    # A '*' comes before every chunk but the first, and each ')' closes the
+    # latest open node.  done holds the numbers of finished subtrees (-1 for
+    # a leaf).
     done: list[int] = []
-    for c in chunks:
+    for chunk in text.split("*"):
         if done:
             left.append(done.pop())
             right.append(-1)
             done.append(len(left) - 1)
         done.append(-1)
-        for _ in range(len(c) - len(c.rstrip(")"))):
+        for _ in range(len(chunk) - len(chunk.rstrip(")"))):
             child = done.pop()
             right[done[-1]] = child
+    # Built after the loop frees its chunk list, which lowers the peak; a
+    # right child comes after its parent.
+    n = len(left)
+    hi = [0] * n
+    for i in reversed(range(n)):
+        hi[i] = hi[right[i]] if right[i] >= 0 else i + 1
+    if strategy == "shortest":
+        for k in range(n):
+            if left[k] >= 0:
+                continue  # leaf k is a right child: no node starts there
+            top = k  # a left child's parent is the node after its last leaf
+            while hi[top] < n and left[hi[top]] == top:
+                top = hi[top]
+            a = top if hi[top] < n else left[top]
+            p = "R" * k
+            while a >= 0:
+                yield p, k, a, hi[a], n
+                a = left[a]
+        return
+    if strategy != "longest":
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    lo: list[int] = []
+    for i, child in enumerate(left):  # a left child comes before its parent
+        lo.append(lo[child] if child >= 0 else i)
     root = done[0]
-    last = len(chunks) - 1
-    for p in _POSITIONS[trace.strategy](trace.start):
-        b, lo, hi, up, side = root, 0, last, -1, ""
-        for side in p:
-            up = b
-            if side == "L":
-                b, hi = left[b], b
-            else:
-                b, lo = right[b], b + 1
-        a = left[b]
-        left[b] = right[a]
-        right[a] = b
-        if up < 0:
-            root = a
-        elif side == "L":
-            left[up] = a
-        else:
-            right[up] = a
+    levels = []
+    level = [root] if n else []
+    while level:
+        levels.append(level)
+        level = [c for i in level for c in (left[i], right[i]) if c >= 0]
+    for level in reversed(levels):
+        for j in level:
+            if left[j] < 0:
+                continue
+            # In-order numbers are below a node on its left, above on its right.
+            path, i = [], root
+            while i != j:
+                path.append("L" if j < i else "R")
+                i = left[i] if j < i else right[i]
+            p = "".join(path)
+            for e in range(lo[j], j):
+                yield p + "R" * (e - lo[j]), e, e, j, hi[j]
+
+
+def _step_texts(trace: Trace) -> Iterator[tuple[Position, str]]:
+    """``(position, render(term_after))`` for each step of ``trace``.
+
+    Labels hold no ``*``, so ``render(start).split("*")`` gives one chunk
+    per leaf: the leaf with its ``(`` before and its ``)`` after.  A
+    rotation at ``b`` with left child ``a`` over leaves ``lo..hi`` moves one
+    ``(`` from leaf ``lo`` to leaf ``a+1`` and one ``)`` from leaf ``b`` to
+    leaf ``hi`` (see :func:`_rotations`), so a step costs four chunk edits
+    and one join, and no term is built.
+
+    Output-bound: every step yields a whole text, so the steps take
+    Θ(steps × size) time and characters in all, up to Θ(size³) for the
+    longest strategy.  Streamed, only the current text is alive; a caller
+    that keeps them all holds that many characters.
+    """
+    text = render(trace.start)
+    chunks = text.split("*")
+    for p, lo, a, b, hi in _rotations(trace.strategy, text):
         chunks[lo] = chunks[lo][1:]
         chunks[a + 1] = "(" + chunks[a + 1]
         chunks[b] = chunks[b][:-1]
@@ -392,8 +397,8 @@ def normalize_shortest(t: Term) -> Trace:
     rescanned after each step, and builds the normal form once: O(size(t))
     time and memory.
     """
-    final, runs = _normalize_spine(t)
-    return Trace(t, final, "shortest", sum(count for _, count in runs))
+    final, step_count = _normalize_spine(t)
+    return Trace(t, final, "shortest", step_count)
 
 
 def normalize_longest(t: Term) -> Trace:

@@ -69,6 +69,23 @@ def naive_sigma(t):
     return naive_sigma(t.left) + naive_sigma(t.right) + naive_size(t.left)
 
 
+def off_spine_first_leaves(t):
+    """For each leaf, left to right, how many nodes off the root's right
+    spine have it as their first leaf."""
+    counts = [0] * (naive_size(t) + 1)
+
+    def walk(x, first, on_spine):
+        if isinstance(x, Leaf):
+            return
+        if not on_spine:
+            counts[first] += 1
+        walk(x.left, first, False)
+        walk(x.right, first + naive_size(x.left) + 1, on_spine)
+
+    walk(t, 0, True)
+    return counts
+
+
 def subterm_at(t, path):
     for ch in path:
         t = t.left if ch == "L" else t.right

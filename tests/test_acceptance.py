@@ -10,7 +10,7 @@ import gc
 import random
 import time
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -23,7 +23,15 @@ from assocnf.oracle import (
     verify_unique_nf,
     verify_wcr,
 )
-from assocnf.rewrite import apply_at, find_redexes, normalize_longest, normalize_shortest, step_shortest
+from assocnf.rewrite import (
+    _step_texts,
+    apply_at,
+    find_redexes,
+    normalize,
+    normalize_longest,
+    normalize_shortest,
+    step_shortest,
+)
 from assocnf.terms import (
     Leaf,
     Node,
@@ -370,6 +378,88 @@ def test_term_walk_peaks_are_linear(family, n):
         f"PASS peak gate: {family} of {n} nodes peaks at "
         + ", ".join(f"{name} {b:.1f}" for name, b in peaks.items())
         + " B/node"
+    )
+
+
+# Replaying a trace is output-bound: every step is a whole text or term, so
+# a replay takes Θ(steps × n) time, and the sizes here keep tier-1 short.
+# Streamed, a replay holds one text or term at a time besides the start's
+# fixed arrays, so its peak per node stays under a constant.  The
+# references are peak bytes per node on Python 3.11, the larger reading
+# where two sizes run; the gate allows 15% over them.
+REPLAY_SIZES = {"shortest": 200, "longest": 60}
+REPLAY_PEAK_CASES = [
+    ("_step_texts", "shortest", 300),
+    ("_step_texts", "shortest", 3000),
+    ("_step_texts", "longest", 200),
+    ("trace.steps", "shortest", 200),
+    ("trace.steps", "longest", 60),
+]
+REPLAY_PEAK_REFERENCE = {
+    ("_step_texts", "shortest"): {
+        "comb": 176.8,
+        "left_chain": 172.6,
+        "remy": 172.6,
+        "right_chain": 181.2,
+        "spine_over_chains": 172.7,
+    },
+    ("_step_texts", "longest"): {
+        "comb": 196.7,
+        "left_chain": 196.2,
+        "remy": 150.1,
+        "right_chain": 182.7,
+        "spine_over_chains": 150.3,
+    },
+    ("trace.steps", "shortest"): {
+        "comb": 110.1,
+        "left_chain": 89.3,
+        "remy": 132.9,
+        "right_chain": 98.4,
+        "spine_over_chains": 130.5,
+    },
+    ("trace.steps", "longest"): {
+        "comb": 216.7,
+        "left_chain": 216.2,
+        "remy": 164.8,
+        "right_chain": 120.5,
+        "spine_over_chains": 144.0,
+    },
+}
+REPLAYS = {
+    "_step_texts": lambda trace: deque(_step_texts(trace), maxlen=0),
+    "trace.steps": lambda trace: deque(trace.steps, maxlen=0),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(REPLAY_SIZES))
+@pytest.mark.parametrize("family", sorted(ALLOCATION_FAMILIES))
+def test_trace_replay_allocation_counts(family, strategy, constructions):
+    # printing builds no term; trace.steps builds only apply_at's nodes
+    n = REPLAY_SIZES[strategy]
+    trace = normalize(ALLOCATION_FAMILIES[family](n), strategy)
+    constructions.clear()
+    deque(_step_texts(trace), maxlen=0)
+    assert constructions == {}
+    positions = [step.position for step in trace.steps]
+    assert constructions["Leaf"] == 0
+    assert constructions["Node"] == sum(len(p) + 2 for p in positions)
+    print(
+        f"PASS replay count gate: {strategy} trace of {family}({n}) prints with "
+        f"no term and replays {len(positions)} steps with "
+        f"{constructions['Node']} nodes"
+    )
+
+
+@pytest.mark.parametrize("replay, strategy, n", REPLAY_PEAK_CASES)
+@pytest.mark.parametrize("family", sorted(ALLOCATION_FAMILIES))
+def test_trace_replay_peaks_are_linear(family, replay, strategy, n):
+    trace = normalize(ALLOCATION_FAMILIES[family](n), strategy)
+    per_node = _peak_bytes(REPLAYS[replay], trace) / n
+    bound = 1.15 * REPLAY_PEAK_REFERENCE[replay, strategy][family]
+    assert per_node <= bound, (round(per_node, 2), bound)
+    print(
+        f"PASS replay peak gate: {replay} of a {strategy} trace of "
+        f"{family}({n}) peaks at {per_node:.1f} B/node"
     )
 
 

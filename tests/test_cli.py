@@ -386,6 +386,17 @@ def test_graph_cap_exceeded(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "args, named, cap",
+    [(("--max-n", "13"), 13, 12), (("--max-n", "20"), 13, 12), (("--max-n", "3", "--cap", "-1"), 0, -1)],
+)
+def test_verify_cap_exceeded(capsys, args, named, cap):
+    code, out, err = run(capsys, "verify", *args)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: n={named} exceeds graph cap {cap}\n"
+
+
 def test_graph_negative_size_exits_2(capsys):
     code, out, err = run(capsys, "graph", "-1")
     assert code == 2

@@ -265,6 +265,19 @@ def test_graph_cap():
         build_graph(4, cap=3)
 
 
+@pytest.mark.parametrize("n_max, cap, named", [(13, 12, 13), (20, 12, 13), (3, -1, 0)])
+def test_verify_all_checks_the_cap_before_building(monkeypatch, n_max, cap, named):
+    # the error names the first size over the cap, as build_graph does
+    built = []
+    monkeypatch.setattr(
+        "assocnf.oracle.build_graph", lambda n, cap: built.append(n) or build_graph(n, cap)
+    )
+    with pytest.raises(CapExceeded) as exc:
+        verify_all(n_max, cap=cap)
+    assert str(exc.value) == f"n={named} exceeds graph cap {cap}"
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # verification oracles
 

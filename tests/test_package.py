@@ -30,8 +30,12 @@ def test_exported_names_are_unchanged():
 
 def test_cli_import_pulls_in_no_dataclasses_or_inspect():
     # dataclasses imports inspect, ast, dis and tokenize, a large share of
-    # every CLI process's start-up; the records are namedtuples instead
-    code = "import sys, assocnf.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # every CLI process's start-up; the records are namedtuples instead.
+    # json is needed only to write verify --records.
+    code = (
+        "import sys, assocnf.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
+    )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": str(Path(assocnf.__file__).parents[1])},

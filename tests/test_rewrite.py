@@ -10,6 +10,8 @@ from assocnf.rewrite import (
     InvalidPosition,
     NotARedex,
     Step,
+    Trace,
+    _rotations,
     _step_texts,
     apply_at,
     find_redexes,
@@ -34,10 +36,13 @@ from assocnf.terms import (
 from helpers import (
     catalan_counts,
     comb_shape,
+    naive_size,
+    off_spine_first_leaves,
     random_shape,
     reference_longest,
     reference_shortest,
     subterm_at,
+    with_indexed_leaves,
 )
 
 EXAMPLE = "(((a*b)*c)*d)"
@@ -287,6 +292,33 @@ def test_step_texts_match_rendered_steps():
             assert list(_step_texts(trace)) == expected, (render(t), strategy)
 
 
+def _positions(strategy, t):
+    return [step[0] for step in _rotations(strategy, render(t))]
+
+
+def test_shortest_positions_match_the_first_leaf_counts():
+    # R^k once per node off the spine whose first leaf is k, k ascending
+    rng = random.Random(30)
+    counts = catalan_counts(30)
+    labeled = [with_indexed_leaves(random_shape(30, rng, counts)) for _ in range(200)]
+    for t in [*all_shapes_upto(9), *labeled]:
+        expected = [
+            "R" * k for k, count in enumerate(off_spine_first_leaves(t)) for _ in range(count)
+        ]
+        assert _positions("shortest", t) == expected, render(t)
+
+
+def test_longest_positions_fire_each_redex_down_its_right_spine():
+    # each redex p, deepest first, at p, pR, ... once per node of its left child
+    for t in all_shapes_upto(8):
+        expected = [
+            p + "R" * e
+            for p in find_redexes(t)
+            for e in range(naive_size(subterm_at(t, p).left))
+        ]
+        assert _positions("longest", t) == expected, render(t)
+
+
 def test_steps_view_is_a_read_only_sequence():
     trace = normalize_longest(parse(EXAMPLE))
     steps = trace.steps
@@ -300,6 +332,12 @@ def test_steps_view_is_a_read_only_sequence():
         steps[3]
     with pytest.raises(AttributeError):
         trace.step_count = 0
+
+
+def test_steps_of_an_unknown_strategy_raise():
+    trace = Trace(parse(EXAMPLE), parse("(a*(b*(c*d)))"), "fastest", 3)
+    with pytest.raises(ValueError, match="unknown strategy 'fastest'"):
+        list(trace.steps)
 
 
 def test_normalize_dispatch():
