@@ -15,7 +15,7 @@ from functools import cache
 from .oracle import (
     ENUMERATION_CAP,
     GRAPH_CAP,
-    _words,
+    _count,
     build_graph,
     enumerate_shapes,
     export_dot,
@@ -73,7 +73,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
-        print(len(_words(args.n, args.cap)))
+        print(_count(args.n, args.cap))
     else:
         for t in enumerate_shapes(args.n, cap=args.cap):
             print(render(t))
@@ -98,6 +98,12 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(dot)
     return 0
+
+
+def _add_cap(p: argparse.ArgumentParser, default: int) -> None:
+    """Declare ``--cap``, the resource cap of the shape commands."""
+    text = f"resource cap on n (default {default})"
+    p.add_argument("--cap", type=int, default=default, help=text)
 
 
 @cache
@@ -141,24 +147,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--count-only", action="store_true", help="print only the shape count"
     )
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=ENUMERATION_CAP,
-        help=f"resource cap on n (default {ENUMERATION_CAP})",
-    )
+    _add_cap(p, ENUMERATION_CAP)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser(
         "verify", help="check all rewrite properties for every size up to a bound"
     )
     p.add_argument("--max-n", type=int, required=True, help="largest size checked")
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=GRAPH_CAP,
-        help=f"resource cap on n (default {GRAPH_CAP})",
-    )
+    _add_cap(p, GRAPH_CAP)
     p.add_argument(
         "--records", help="also write per-shape records as JSON lines to this path"
     )
@@ -167,12 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="export the rewrite graph of one size as DOT")
     p.add_argument("n", type=int, help="number of internal nodes")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=GRAPH_CAP,
-        help=f"resource cap on n (default {GRAPH_CAP})",
-    )
+    _add_cap(p, GRAPH_CAP)
     p.set_defaults(func=_cmd_graph)
 
     return parser

@@ -18,6 +18,11 @@ bits, most significant first, 0 for a node and 1 for a leaf.  Two facts:
   That value is the rotation's amount, and each shape's amounts are built
   from its children's, so no word is scanned for them.
 
+Every shape list comes from one split recurrence, ``_split``, with a join
+per caller: ``_shapes`` builds words and values, :func:`build_graph` words,
+texts and amounts, and ``_count`` nothing at all, so the count that
+``enumerate --count-only`` prints holds one shared reference per shape.
+
 Node ``i`` is the ``i``-th word; edges are index tuples, and searches and
 checks run on indices.  Strings are made once per shape, for output: nodes
 are canonical term strings (see :func:`assocnf.terms.render`), sorted, so
@@ -114,9 +119,13 @@ def _shapes(n: int, cap: int, leaf, node) -> list[tuple]:
     return shapes
 
 
-def _words(n: int, cap: int) -> list[int]:
-    """The words of every shape of size ``n``, in split order."""
-    return _split(n, cap, 1, lambda lw, rights, shift, m: map((lw << shift).__or__, rights))
+def _count(n: int, cap: int) -> int:
+    """The number of shapes of size ``n``, with no word or value built.
+
+    Each item is one shared reference to a right-hand item, so a size's list
+    holds one slot per shape.
+    """
+    return len(_split(n, cap, None, lambda left, rights, shift, m: rights))
 
 
 def enumerate_shapes(n: int, cap: int = ENUMERATION_CAP) -> list[Term]:

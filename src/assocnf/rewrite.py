@@ -124,8 +124,9 @@ class Steps(Sequence):
     """Read-only view of a :class:`Trace`'s steps, replayed from its start.
 
     Iterating streams one :class:`Step` at a time, so only the current term
-    is alive.  Indexing replays up to the index.  Compares equal to any
-    tuple, list or view holding the same steps.
+    is alive.  Indexing replays up to the index; ``reversed`` and ``index``
+    replay once.  Compares equal to any tuple, list or view holding the same
+    steps.
     """
 
     __slots__ = ("_trace",)
@@ -151,6 +152,22 @@ class Steps(Sequence):
         if not 0 <= index < n:
             raise IndexError("step index out of range")
         return next(islice(self, index, None))
+
+    def __reversed__(self) -> Iterator[Step]:
+        """One replay, kept whole.
+
+        Steps share subtrees, so the tuple holds only the nodes
+        :func:`apply_at` built, ``len(position) + 2`` per step.
+        """
+        return reversed(tuple(self))
+
+    def index(self, value: object, start: int = 0, stop: int | None = None) -> int:
+        """``Sequence.index`` from one replay, not one replay per index."""
+        indices = range(len(self))[start:stop]
+        for i, step in zip(indices, islice(self, indices.start, indices.stop)):
+            if step == value:
+                return i
+        raise ValueError("step not in trace")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (Steps, tuple, list)):

@@ -56,19 +56,29 @@ class Term:
             return True
         if not isinstance(other, Term):
             return NotImplemented
+        # A pair of leaf children is compared in place and the walk goes on
+        # down the other pair, so a right pair waits on the stack only when
+        # both pairs of children are nodes: never on chains and combs.
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            if isinstance(a, Leaf):
-                if a.label != b.label:
+            while a is not b:
+                if type(a) is not type(b):
                     return False
-            else:
-                stack.append((a.left, b.left))
-                stack.append((a.right, b.right))
+                if isinstance(a, Leaf):
+                    if a.label != b.label:
+                        return False
+                    break
+                if isinstance(a.left, Leaf):
+                    x, y, a, b = a.left, b.left, a.right, b.right
+                elif isinstance(a.right, Leaf):
+                    x, y, a, b = a.right, b.right, a.left, b.left
+                else:
+                    stack.append((a.right, b.right))
+                    a, b = a.left, b.left
+                    continue
+                if x is not y and (type(x) is not type(y) or x.label != y.label):
+                    return False
         return True
 
     def __hash__(self) -> int:

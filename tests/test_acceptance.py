@@ -14,6 +14,7 @@ from collections import Counter, deque
 
 import pytest
 
+from assocnf.cli import main
 from assocnf.oracle import (
     build_graph,
     enumerate_shapes,
@@ -331,8 +332,9 @@ def test_allocation_counts_are_linear(family, n, constructions):
 # the last two of the render that kept its pending '*' and ')' as strings on
 # its stack; comb, remy and right_chain are the largest readings over Python
 # 3.10 to 3.12 of the render that prints a right-spine node as three shared
-# strings.  The gate allows 15% over them; measure has no reference, since
-# its stack stays small on every family here.
+# strings.  The gate allows 15% over them, for hash as well, which hashes
+# render's text; measure and == have no reference, since their stacks stay
+# small on every family here.
 PARSE_PEAK_REFERENCE = 48.3
 RENDER_PEAK_REFERENCE = {
     "comb": 31.7,
@@ -369,6 +371,8 @@ def test_term_walk_peaks_are_linear(family, n):
         parse: (text, 1.15 * PARSE_PEAK_REFERENCE),
         render: (t, 1.15 * RENDER_PEAK_REFERENCE[family]),
         measure: (t, 1.0),
+        hash: (t, 1.15 * RENDER_PEAK_REFERENCE[family]),
+        t.__eq__: (parse(text), 2.0),
     }
     peaks = {}
     for fn, (arg, bound) in bounds.items():
@@ -460,6 +464,19 @@ def test_trace_replay_peaks_are_linear(family, replay, strategy, n):
     print(
         f"PASS replay peak gate: {replay} of a {strategy} trace of "
         f"{family}({n}) peaks at {per_node:.1f} B/node"
+    )
+
+
+def test_shape_count_peak_is_one_slot_per_shape(capsys):
+    # enumerate --count-only builds no word and no value per shape: each
+    # size's list holds one reference per shape, 8 bytes and its slack
+    counts = catalan_counts(12)
+    per_shape = _peak_bytes(main, ["enumerate", "12", "--count-only"]) / sum(counts)
+    assert capsys.readouterr().out == f"{counts[12]}\n" * 2
+    assert per_shape <= 10.0, round(per_shape, 2)
+    print(
+        f"PASS count peak gate: enumerate 12 --count-only peaks at "
+        f"{per_shape:.1f} B per shape of sizes 0..12"
     )
 
 

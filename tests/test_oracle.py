@@ -26,7 +26,8 @@ from assocnf.oracle import (
     verify_sn,
     verify_unique_nf,
     verify_wcr,
-    _words,
+    _count,
+    _shapes,
 )
 from assocnf.rewrite import apply_at, find_redexes
 from assocnf.terms import (
@@ -50,7 +51,7 @@ from helpers import catalan_counts, preorder_word, random_shape, scan_successors
 def test_enumeration_counts_follow_catalan_recurrence():
     counts = catalan_counts(10)
     for n in range(11):
-        assert len(enumerate_shapes(n)) == counts[n]
+        assert len(enumerate_shapes(n)) == _count(n, ENUMERATION_CAP) == counts[n]
 
 
 def test_enumeration_is_unique_and_sorted():
@@ -82,7 +83,8 @@ def test_word_order_is_canonical_order():
         texts = [render(t) for t in enumerate_shapes(n)]
         assert len(set(texts)) == len(texts) == counts[n]
         assert texts == sorted(texts) == sorted(texts, key=preorder_word)
-        assert sorted(_words(n, ENUMERATION_CAP)) == [preorder_word(x) for x in texts]
+        words = [w for w, _ in _shapes(n, ENUMERATION_CAP, None, lambda left, right: None)]
+        assert words == [preorder_word(x) for x in texts]
 
 
 def test_word_kernel_matches_the_rewrite_rule():

@@ -18,6 +18,9 @@ def test_reprs_name_every_field():
         "strategy='longest', step_count=1)"
     )
     assert repr(trace.steps[0]) == "Step(position='', term_after=parse('(a*(b*c))'))"
+    assert repr(normalize(parse("(((a*b)*c)*d)"), "longest").steps) == "<3 longest steps>"
+    assert repr(Leaf()) == "Leaf()" and repr(Leaf("a")) == "Leaf('a')"
+    assert str(T) == "((a*b)*c)"
     assert repr(verify_all(1)) == (
         "[VerificationReport(n=0, records=(TermRecord(term='.', size=0, sigma=0, "
         "d_rm=0, longest=0, shortest=0),), sn_ok=True, wcr_ok=True, "

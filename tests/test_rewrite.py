@@ -328,10 +328,42 @@ def test_steps_view_is_a_read_only_sequence():
     assert steps[0] == replayed[0] and steps[-1] == replayed[-1]
     assert steps[1:] == replayed[1:]
     assert list(reversed(steps)) == list(reversed(replayed))
+    assert (steps == 3) is False
     with pytest.raises(IndexError):
         steps[3]
     with pytest.raises(AttributeError):
         trace.step_count = 0
+
+
+def test_steps_reversed_and_index_replay_once(monkeypatch):
+    # Sequence's own reversed and index call __getitem__ per index, and each
+    # call replays from the start: 18,145 apply_at calls here
+    steps = normalize(left_chain(20), "longest").steps
+    replayed = tuple(steps)
+    calls = []
+
+    def counting(t, p):
+        calls.append(p)
+        return apply_at(t, p)
+
+    monkeypatch.setattr("assocnf.rewrite.apply_at", counting)
+    assert len(steps) == 190
+    assert list(reversed(steps)) == list(reversed(replayed))
+    assert len(calls) == 190
+    for value, args, calls_made in [
+        (replayed[-1], (), 190),
+        (replayed[0], (), 1),
+        (replayed[5], (-185, -1), 6),
+        (replayed[7], (3, 8), 8),
+    ]:
+        calls.clear()
+        assert steps.index(value, *args) == replayed.index(value, *args)
+        assert len(calls) == calls_made
+    for args in [(6,), (-3, 200), (0, -190), (150, 10)]:
+        with pytest.raises(ValueError):
+            replayed.index(replayed[5], *args)
+        with pytest.raises(ValueError):
+            steps.index(replayed[5], *args)
 
 
 def test_steps_of_an_unknown_strategy_raise():

@@ -66,6 +66,7 @@ def test_parse_multichar_labels():
         ("(.*.)x", 5),
         ("a b", 2),
         ("(a*b))ß", 5),
+        ("(a*b*c)", 4),
     ],
 )
 def test_parse_errors_carry_byte_offset(text, offset):
@@ -188,8 +189,9 @@ def test_chain_constructors():
     assert size(left_chain(7)) == size(right_chain(7)) == 7
     assert is_normal_form(right_chain(7))
     assert not is_normal_form(left_chain(7))
-    with pytest.raises(ValueError):
-        left_chain(-1)
+    for chain in (left_chain, right_chain):
+        with pytest.raises(ValueError, match="chain size must be nonnegative"):
+            chain(-1)
 
 
 def test_measure_matches_components():
