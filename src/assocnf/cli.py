@@ -4,13 +4,21 @@ Exit codes: 0 on success (and all checks passing), 1 when ``verify`` finds a
 failing report, 2 on usage, term-syntax and file errors, with one ``error:``
 line and no traceback.  Stdout carries data only; diagnostics go to stderr.
 Identical invocations print identical bytes.
+
+The commands are declared once, in ``_COMMANDS``.  ``_read`` takes argv of
+the plain form: a command name, then that command's exact long flags, each
+its own token, and values that do not start with ``-``.  It builds the
+namespace itself, without importing argparse.  Anything else (``--help``,
+an abbreviated flag, ``--flag=value``, a negative number, a usage error)
+goes to an argparse parser built from the same table, so help text, usage
+errors and their exit code 2 are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 from .oracle import (
     ENUMERATION_CAP,
@@ -28,8 +36,10 @@ from .terms import ParseError, measure, parse, render
 
 __all__ = ["main"]
 
+_PIECE = 4096  # characters per stdout write of a DOT graph, under io.DEFAULT_BUFFER_SIZE
 
-def _cmd_nf(args: argparse.Namespace) -> int:
+
+def _cmd_nf(args: SimpleNamespace) -> int:
     if args.file is None:
         terms = [parse(args.term)]
     else:
@@ -53,25 +63,27 @@ def _cmd_nf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: SimpleNamespace) -> int:
     trace = normalize(parse(args.term), args.strategy)
+    # One write per line: print makes two.
+    write = sys.stdout.write
     if not args.quiet:
-        print(f"start {render(trace.start)}")
+        write(f"start {render(trace.start)}\n")
         for position, text in _step_texts(trace):
-            print(f"{format_position(position)} ⊳ {text}")
-        print(f"final {render(trace.final)}")
-    print(f"steps={trace.step_count}")
+            write(f"{format_position(position)} ⊳ {text}\n")
+        write(f"final {render(trace.final)}\n")
+    write(f"steps={trace.step_count}\n")
     return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
+def _cmd_metrics(args: SimpleNamespace) -> int:
     m = measure(parse(args.term))
     nf = "true" if m.is_nf else "false"
     print(f"n={m.size} sigma={m.sigma} d_rm={m.d_rm} nf={nf}")
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
     if args.count_only:
         print(_count(args.n, args.cap))
     else:
@@ -80,7 +92,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     reports = verify_all(args.max_n, cap=args.cap)
     # Records first, so a bad path leaves stdout empty, as in nf --file.
     if args.records is not None:
@@ -90,26 +102,151 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
+def _cmd_graph(args: SimpleNamespace) -> int:
     dot = export_dot(build_graph(args.n, cap=args.cap))
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dot)
     else:
-        sys.stdout.write(dot)
+        # In pieces that fit the stdout buffer: one write larger than it can
+        # lose the BrokenPipeError of a closed pipe (CPython 3.11 returns a
+        # short count), while a buffer flush raises it.
+        for start in range(0, len(dot), _PIECE):
+            sys.stdout.write(dot[start : start + _PIECE])
     return 0
 
 
-def _add_cap(p: argparse.ArgumentParser, default: int) -> None:
+def _cap(default: int) -> tuple[str, dict]:
     """Declare ``--cap``, the resource cap of the shape commands."""
     text = f"resource cap on n (default {default})"
-    p.add_argument("--cap", type=int, default=default, help=text)
+    return "--cap", dict(type=int, default=default, help=text)
+
+
+# Each command's handler, help line and arguments.  An argument is a name
+# and the keywords argparse's ``add_argument`` takes; a name that starts
+# with ``--`` is an option.  _build_parser hands them to argparse as they
+# are, and _read understands the few keywords used here.
+_COMMANDS = {
+    "nf": (
+        _cmd_nf,
+        "print the normal form and step count",
+        (
+            ("term", dict(nargs="?", help="term text, e.g. '(((a*b)*c)*d)'")),
+            ("--file", dict(help="read one term per line instead")),
+        ),
+    ),
+    "trace": (
+        _cmd_trace,
+        "print every rewrite step to normal form",
+        (
+            ("term", dict(help="term text")),
+            (
+                "--strategy",
+                dict(
+                    choices=STRATEGIES,
+                    default="shortest",
+                    help="rewrite order (default: shortest)",
+                ),
+            ),
+            ("--quiet", dict(action="store_true", help="print the step count only")),
+        ),
+    ),
+    "metrics": (
+        _cmd_metrics,
+        "print n, sigma, d_rm and NF status",
+        (("term", dict(help="term text")),),
+    ),
+    "enumerate": (
+        _cmd_enumerate,
+        "list all shapes of a given size",
+        (
+            ("n", dict(type=int, help="number of internal nodes")),
+            ("--count-only", dict(action="store_true", help="print only the shape count")),
+            _cap(ENUMERATION_CAP),
+        ),
+    ),
+    "verify": (
+        _cmd_verify,
+        "check all rewrite properties for every size up to a bound",
+        (
+            ("--max-n", dict(type=int, required=True, help="largest size checked")),
+            _cap(GRAPH_CAP),
+            (
+                "--records",
+                dict(help="also write per-shape records as JSON lines to this path"),
+            ),
+        ),
+    ),
+    "graph": (
+        _cmd_graph,
+        "export the rewrite graph of one size as DOT",
+        (
+            ("n", dict(type=int, help="number of internal nodes")),
+            ("--out", dict(help="output path (default: stdout)")),
+            _cap(GRAPH_CAP),
+        ),
+    ),
+}
+
+
+def _dest(name: str) -> str:
+    """The attribute argparse stores an argument in: ``--max-n`` -> ``max_n``."""
+    return name.lstrip("-").replace("-", "_")
+
+
+def _value(spec: dict, text: str):
+    """``text`` converted as argparse would, or ``ValueError``."""
+    if text.startswith("-"):
+        raise ValueError(text)
+    value = spec.get("type", str)(text)
+    if value not in spec.get("choices", (value,)):
+        raise ValueError(text)
+    return value
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """Read plain ``argv`` (see the module docstring), or return ``None``.
+
+    The namespace holds what argparse's would.  ``None`` leaves the argv to
+    argparse, which may still take it, as it takes a negative number.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, arguments = _COMMANDS[argv[0]]
+    specs = dict(arguments)
+    unfilled = [name for name, _ in arguments if not name.startswith("-")]
+    values = {"command": argv[0], "func": func}
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                name = unfilled.pop(0)
+                values[name] = _value(specs[name], token)
+            elif specs[token].get("action") == "store_true":
+                values[_dest(token)] = True
+            else:
+                values[_dest(token)] = _value(specs[token], next(tokens))
+    except (KeyError, IndexError, StopIteration, ValueError):
+        # An unknown or abbreviated flag, one positional too many, or a
+        # missing or malformed value.
+        return None
+    for name, spec in arguments:
+        if _dest(name) in values:
+            continue
+        if spec.get("required") or (name in unfilled and spec.get("nargs") != "?"):
+            return None
+        flag = spec.get("action") == "store_true"
+        values[_dest(name)] = spec.get("default", False if flag else None)
+    return SimpleNamespace(**values)
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process: parsing leaves the parser unchanged, and
-    # building it costs more than a small command.
+def _build_parser():
+    """The ``argparse.ArgumentParser`` of ``_COMMANDS``, for help and usage errors."""
+    # Imported here: a well-formed command never needs it.  Built once per
+    # process, since parsing leaves the parser unchanged.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="assocnf",
         description=(
@@ -119,63 +256,24 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("nf", help="print the normal form and step count")
-    p.add_argument("term", nargs="?", help="term text, e.g. '(((a*b)*c)*d)'")
-    p.add_argument("--file", help="read one term per line instead")
-    p.set_defaults(func=_cmd_nf)
-
-    p = sub.add_parser("trace", help="print every rewrite step to normal form")
-    p.add_argument("term", help="term text")
-    p.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default="shortest",
-        help="rewrite order (default: shortest)",
-    )
-    p.add_argument(
-        "--quiet", action="store_true", help="print the step count only"
-    )
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("metrics", help="print n, sigma, d_rm and NF status")
-    p.add_argument("term", help="term text")
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("enumerate", help="list all shapes of a given size")
-    p.add_argument("n", type=int, help="number of internal nodes")
-    p.add_argument(
-        "--count-only", action="store_true", help="print only the shape count"
-    )
-    _add_cap(p, ENUMERATION_CAP)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser(
-        "verify", help="check all rewrite properties for every size up to a bound"
-    )
-    p.add_argument("--max-n", type=int, required=True, help="largest size checked")
-    _add_cap(p, GRAPH_CAP)
-    p.add_argument(
-        "--records", help="also write per-shape records as JSON lines to this path"
-    )
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("graph", help="export the rewrite graph of one size as DOT")
-    p.add_argument("n", type=int, help="number of internal nodes")
-    p.add_argument("--out", help="output path (default: stdout)")
-    _add_cap(p, GRAPH_CAP)
-    p.set_defaults(func=_cmd_graph)
-
+    for command, (func, text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, spec in arguments:
+            p.add_argument(name, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv, SimpleNamespace())
     if args.command == "nf" and (args.term is None) == (args.file is None):
-        parser.error("nf needs a term argument or --file, not both")
+        _build_parser().error("nf needs a term argument or --file, not both")
     if args.command == "verify" and args.max_n < 0:
-        parser.error("--max-n must be nonnegative")
+        _build_parser().error("--max-n must be nonnegative")
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -1,14 +1,17 @@
 """CLI behavior: output formats, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import assocnf.cli as cli
 from assocnf.oracle import VerificationReport, build_graph, enumerate_shapes, export_dot
@@ -404,19 +407,190 @@ def test_graph_negative_size_exits_2(capsys):
     assert err == "error: shape size must be nonnegative\n"
 
 
-def test_closed_pipe_exits_2_with_one_error_line():
-    # enumerate 10 prints about 700 KB, well over a pipe buffer, so the
-    # process is still writing when the reader goes away
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+def _env():
+    """The environment of a fresh ``python -m assocnf.cli`` on this checkout."""
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (("enumerate", "10"), b"(((((((((("),
+        (("graph", "10"), b"digraph re"),
+        (("trace", "--strategy", "longest", "(" * 200 + "." + "*.)" * 200), b"start (((("),
+    ],
+    ids=["enumerate", "graph", "trace"],
+)
+def test_closed_pipe_exits_2_with_one_error_line(argv, head):
+    # Each prints megabytes, well over a pipe buffer, so the process is
+    # still writing when the reader goes away: enumerate 10 about 700 KB,
+    # graph 10 about 7.9 MB from one string, the 19,900-step trace more.
     proc = subprocess.Popen(
-        [sys.executable, "-m", "assocnf.cli", "enumerate", "10"],
+        [sys.executable, "-m", "assocnf.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_env(),
     )
-    assert proc.stdout.readline() == b"((((((((((.*.)*.)*.)*.)*.)*.)*.)*.)*.)*.)\n"
+    assert proc.stdout.read(len(head)) == head
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+def test_well_formed_command_loads_no_argparse():
+    # -S: no site hooks, so only the program's own imports count.
+    code = (
+        "import sys; from assocnf.cli import main; main(['nf', 'a']); "
+        "print('argparse' in sys.modules)"
+    )
+    argv = [sys.executable, "-S", "-c", code]
+    done = subprocess.run(argv, env=_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "a\tsteps=0\nFalse\n", "")
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["assocnf", "nf", "(((a*b)*c)*d)"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == "(a*(b*(c*d)))\tsteps=2\n"
+    monkeypatch.setattr(sys, "argv", ["assocnf", "metrics"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    assert "required: term" in capsys.readouterr().err
+
+
+# The usage line of each --help, as argparse printed it before the commands
+# moved into one table; the same on Python 3.10 to 3.12.
+USAGE_LINES = {
+    (): "usage: assocnf [-h] {nf,trace,metrics,enumerate,verify,graph} ...",
+    ("nf",): "usage: assocnf nf [-h] [--file FILE] [term]",
+    ("trace",): "usage: assocnf trace [-h] [--strategy {shortest,longest}] [--quiet] term",
+    ("metrics",): "usage: assocnf metrics [-h] term",
+    ("enumerate",): "usage: assocnf enumerate [-h] [--count-only] [--cap CAP] n",
+    ("verify",): "usage: assocnf verify [-h] --max-n MAX_N [--cap CAP] [--records RECORDS]",
+    ("graph",): "usage: assocnf graph [-h] [--out OUT] [--cap CAP] n",
+}
+
+
+@pytest.mark.parametrize("command", USAGE_LINES, ids=lambda c: c[0] if c else "top")
+def test_help_usage_lines_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == USAGE_LINES[command]
+
+
+# Plain argv, the form of every command the README and the benchmark show.
+WELL_FORMED = [
+    ["nf", "(((a*b)*c)*d)"],
+    ["nf", "--file", "terms.txt"],
+    ["nf", "a", "--file", "terms.txt"],
+    ["nf"],
+    ["trace", "--quiet", "--strategy", "longest", "((a*b)*c)"],
+    ["trace", "((a*b)*c)", "--strategy", "shortest", "--strategy", "longest"],
+    ["metrics", ""],
+    ["enumerate", "11", "--count-only", "--cap", "12"],
+    ["verify", "--max-n", "3", "--records", "F"],
+    ["verify", "--records", "F", "--max-n", "1_0"],
+    ["graph", " 9", "--out", "F"],
+]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_reader_takes_plain_argv(argv):
+    args = cli._read(argv)
+    assert args is not None
+    assert vars(args) == vars(cli._build_parser().parse_args(argv))
+
+
+# Help, or plain argv with one thing wrong: the reader leaves each to argparse.
+NOT_PLAIN = [
+    [],
+    ["bogus"],
+    ["nf", "a", "-h"],
+    ["trace", "--help", "a"],
+    ["trace", "--str", "longest", "a"],
+    ["trace", "--strategy=longest", "a"],
+    ["trace", "--strategy", "middle", "a"],
+    ["metrics", "--", "a"],
+    ["metrics", "-"],
+    ["metrics"],
+    ["metrics", "a", "b"],
+    ["nf", "--cap", "3", "a"],
+    ["enumerate", "-1"],
+    ["enumerate", "1e3"],
+    ["graph", "3", "--cap", "-1"],
+    ["verify"],
+    ["verify", "--max-n"],
+]
+
+
+@pytest.mark.parametrize("argv", NOT_PLAIN, ids=lambda argv: " ".join(argv) or "empty")
+def test_reader_leaves_the_rest_to_argparse(argv):
+    assert cli._read(argv) is None
+
+
+# argv for the reader-argparse agreement: each command's own flags, values,
+# and tokens of every other kind the reader must leave to argparse.
+FLAGS = {
+    "nf": ["--file"],
+    "trace": ["--strategy", "--quiet"],
+    "metrics": [],
+    "enumerate": ["--count-only", "--cap"],
+    "verify": ["--max-n", "--cap", "--records"],
+    "graph": ["--out", "--cap"],
+    "bogus": [],
+}
+INTS = ["0", "3", "-1", "1e3", " 3", "1_0"]
+VALUES = st.sampled_from(INTS + ["shortest", "longest", "middle", "a", "((a*b)*c)", ""])
+TOKENS = st.one_of(
+    VALUES,
+    st.sampled_from([flag for flags in FLAGS.values() for flag in flags] + list(FLAGS)),
+    st.sampled_from(["--fi", "--str", "--max", "--count", "--file=x", "--cap=3"]),
+    st.sampled_from(["-h", "--help", "--", "-"]),
+)
+
+
+def _argv(command, pieces, positionals, extra, at):
+    """``command``, then ``pieces`` joined with ``positionals`` and ``extra`` at ``at``."""
+    tokens = [token for piece in pieces for token in piece]
+    tokens[at[0] : at[0]] = positionals
+    tokens[at[1] : at[1]] = extra
+    return [command, *tokens]
+
+
+def _command_argv(command):
+    # Mostly plain argv: the command's own flags, each alone or with a value,
+    # up to two bare values, and sometimes one token of any kind.
+    pieces = st.just([])
+    if FLAGS[command]:
+        flag = st.sampled_from(FLAGS[command])
+        piece = st.one_of(flag.map(lambda f: [f]), st.tuples(flag, VALUES).map(list))
+        pieces = st.lists(piece, max_size=3)
+    return st.builds(
+        _argv,
+        st.just(command),
+        pieces,
+        st.lists(VALUES, max_size=2),
+        st.lists(TOKENS, max_size=1),
+        st.tuples(st.integers(0, 6), st.integers(0, 8)),
+    )
+
+
+ARGV = st.one_of(st.lists(TOKENS, max_size=4), *map(_command_argv, FLAGS))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=ARGV)
+def test_reader_agrees_with_argparse(argv):
+    read = cli._read(argv)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            expected = cli._build_parser().parse_args(argv)
+    except SystemExit:
+        assert read is None
+    else:
+        assert read is None or vars(read) == vars(expected)
