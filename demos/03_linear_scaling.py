@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Normalize enormous left chains to show the linear-time shortest strategy.
 
-A left chain of n nodes needs exactly n - 1 rotations, and the cursor-based
-scan never revisits the prefix it has already validated, so doubling the
-input roughly doubles the wall time.  The same chains also exercise the
-stack-safety guarantees: every walk below is iterative, so depth is limited
-by memory, not by the interpreter's recursion limit.
+A left chain of n nodes needs exactly n - 1 rotations.  The normal form is
+built from the chain's leaves in one walk and the count is a closed form,
+so doubling the input roughly doubles the wall time.  The same chains also
+exercise the stack-safety guarantees: every walk below is iterative, so
+depth is limited by memory, not by the interpreter's recursion limit.
 """
 
 import time

@@ -340,9 +340,12 @@ def verify_all(n_max: int, cap: int = GRAPH_CAP) -> list[VerificationReport]:
     A report passes iff termination, local confluence and sink uniqueness
     hold, the path oracles match ``sigma`` and ``size - d_rm`` on every
     shape, and the maximal longest path is ``n(n-1)/2``, attained by the
-    left chain.  Raises :class:`CapExceeded` before building any graph if a
-    size above ``cap`` is asked for.
+    left chain.  Raises ``ValueError`` if ``n_max`` is negative, and
+    :class:`CapExceeded` before building any graph if a size above ``cap``
+    is asked for.
     """
+    if n_max < 0:
+        raise ValueError("shape size must be nonnegative")
     # The first size over the cap, as build_graph would name it.
     if (over := max(cap + 1, 0)) <= n_max:
         raise CapExceeded(f"n={over} exceeds graph cap {cap}")

@@ -15,23 +15,24 @@ Two strategies are provided with exact step counts:
   runs in O(size) time and memory: the step count is ``sigma(t)`` and the
   normal form is unique, so neither needs the steps themselves.
 
-Both return a :class:`Trace` that holds the start term, the normal form and
-the step count, never the intermediate terms.  Replaying a trace reads
-``render(start)`` once (``_rotations``): a rotation keeps the in-order order
-of leaves and nodes, so each step is a fixed set of in-order numbers of the
-start, and both strategies' steps come in closed form from arrays built in
-one pass over that text; nothing is rotated, rebuilt or walked down per
-step.  The ``steps`` view turns those positions into terms with
-:func:`apply_at` each time it is iterated, O(size) per step.  The CLI prints
-a trace from the pieces of ``render(start)`` split at ``*`` instead
-(``_step_texts``): a rotation moves one ``(`` and one ``)`` of the text, so
-each step costs four chunk edits and one join, and printing the steps
-builds no term at all.
+Neither rotates to reach the normal form: it is unique, so
+``_normal_form`` builds it straight from the leaves, and both step counts
+are closed forms.  Both return a :class:`Trace` that holds the start term,
+the normal form and the step count, never the intermediate terms.
+Replaying a trace reads ``render(start)`` once (``_rotations``): a rotation
+keeps the in-order order of leaves and nodes, so each step is a fixed set
+of in-order numbers of the start, and both strategies' steps come in closed
+form from arrays built in one pass over that text; nothing is rotated,
+rebuilt or walked down per step.  The ``steps`` view turns those positions
+into terms with :func:`apply_at` each time it is iterated, O(size) per
+step.  The CLI prints a trace from the pieces of ``render(start)`` split at
+``*`` instead (``_step_texts``): a rotation moves one ``(`` and one ``)`` of
+the text, so each step costs four chunk edits and one join, and printing
+the steps builds no term at all.
 
-:func:`apply_at` is the only single-step rotation; :func:`step_shortest`
-finds its position and calls it.  The cursor loop behind both strategies'
-normal forms peels each run of rotations at one position as a whole
-instead, building one node per rotation (``_normalize_spine``).
+:func:`apply_at` is the only code that rotates a term.
+:func:`step_shortest` finds its position and calls it, and so does the
+``steps`` view.
 
 Positions are strings over ``L``/``R`` read from the root; the empty string
 is the root and prints as ``ε``.  When redexes are listed or chosen, deeper
@@ -40,6 +41,7 @@ positions come first and ties break lexicographically with ``L < R``.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import islice
@@ -146,6 +148,7 @@ class Steps(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self)[index]
+        index = operator.index(index)
         n = len(self)
         if index < 0:
             index += n
@@ -237,7 +240,7 @@ def step_shortest(t: Term) -> tuple[Term, Position] | None:
     depth ``k``, and fires there with :func:`apply_at` at ``R^k``.  Returns
     ``None`` iff ``t`` is already in normal form; otherwise ``(rewritten,
     position)``, and the rewrite is guaranteed to push the rightmost leaf
-    exactly one edge deeper.  This is one step of the loop in
+    exactly one edge deeper.  Iterated to a fixpoint, it makes the steps of
     :func:`normalize_shortest`.
     """
     focus, k = t, 0
@@ -249,46 +252,35 @@ def step_shortest(t: Term) -> tuple[Term, Position] | None:
     return apply_at(t, p), p
 
 
-def _normalize_spine(t: Term) -> tuple[Term, int]:
-    """The shortest strategy in O(size(t)): its normal form and step count.
+def _normal_form(t: Term) -> tuple[Term, int]:
+    """The normal form of ``t`` and ``size(t) - depth_rightmost(t)``.
 
-    A cursor walks down the right spine.  Its focus stays at the same depth
-    ``k`` while it rotates and moves down only past a leaf left child, so
-    the rotations come in runs at one position ``R^k``, with ``k``
-    increasing.
-
-    A run peels the focus's left spine with one new ``Node`` per rotation
-    and no intermediate focus: each spine node's right child is hung on top
-    of the focus's right subtree, and the spine's leftmost leaf ends up as
-    the left child at depth ``k``.  The cursor then walks the subtree the
-    run built, and records the leaves it passed (a second walk) only if a
-    redex lies below.  So the subtree the last run built is final and is
-    reused whole, and only the ``k + 1`` spine nodes above it are rebuilt,
-    for the ``k`` of the last run.  No node is passed more than twice.
+    The normal form is the right chain over ``t``'s own ``Leaf`` objects in
+    order, so it is built from the last leaf up, one ``Node`` per leaf
+    before it.  The walk down the root's right spine owes the left subtree
+    of each node it passes; if none of them is a node, ``t`` is its own
+    normal form and is returned as it is.  Otherwise each owed subtree, the
+    last owed first, is walked down its right spine in the same way, and
+    the leaf where that walk ends is the next leaf to hang on the chain.
+    These walks pass every node off the root's right spine once, so they
+    count ``size - d_rm``.  O(size(t)) time and memory at any depth.
     """
-    lefts: list[Term] = []
-    steps = 0
-    top = t
-    while True:
-        # Below the last run's subtree there is no redex, and its leaves
-        # need not be kept: walk first, record only when a run follows.
-        focus = top
-        while isinstance(focus, Node) and isinstance(focus.left, Leaf):
-            focus = focus.right
-        if not isinstance(focus, Node):
-            for left in reversed(lefts):
-                top = Node(left, top)
-            return top, steps
-        while top is not focus:
-            lefts.append(top.left)
-            top = top.right
-        acc, inner = focus.right, focus.left
-        while isinstance(inner, Node):
-            acc = Node(inner.right, acc)
-            inner = inner.left
-            steps += 1
-        lefts.append(inner)
-        top = acc
+    owed: list[Term] = []
+    x = t
+    while isinstance(x, Node):
+        owed.append(x.left)
+        x = x.right
+    if all(isinstance(y, Leaf) for y in owed):
+        return t, 0
+    chain, off_spine = x, 0
+    while owed:
+        y = owed.pop()
+        while isinstance(y, Node):
+            owed.append(y.left)
+            y = y.right
+            off_spine += 1
+        chain = Node(y, chain)
+    return chain, off_spine
 
 
 def _rotations(strategy: str, text: str) -> Iterator[tuple[Position, int, int, int, int]]:
@@ -408,13 +400,12 @@ def _step_texts(trace: Trace) -> Iterator[tuple[Position, str]]:
 def normalize_shortest(t: Term) -> Trace:
     """Normalize by rotating as close to the root as possible.
 
-    Takes exactly ``size(t) - depth_rightmost(t)`` steps.  Equivalent to
-    iterating :func:`step_shortest` to a fixpoint, but keeps a cursor into
-    the term so the already-validated prefix of the rightmost path is not
-    rescanned after each step, and builds the normal form once: O(size(t))
-    time and memory.
+    Takes exactly ``size(t) - depth_rightmost(t)`` steps, the steps of
+    iterating :func:`step_shortest` to a fixpoint.  The normal form and
+    that count come from one walk (``_normal_form``) with no rotation:
+    O(size(t)) time and memory.
     """
-    final, step_count = _normalize_spine(t)
+    final, step_count = _normal_form(t)
     return Trace(t, final, "shortest", step_count)
 
 
@@ -424,10 +415,10 @@ def normalize_longest(t: Term) -> Trace:
     The chosen redex always has a leaf as its left-left subtree, so every
     step lowers ``sigma`` by exactly 1 and the trace has exactly
     ``sigma(t)`` steps: the longest rewrite sequence that exists for ``t``.
-    The normal form is unique, so it is built by the same cursor loop as
-    the shortest strategy's: O(size(t)) time and memory.
+    The normal form is unique, so it is built from the leaves as for the
+    shortest strategy, with no rotation: O(size(t)) time and memory.
     """
-    return Trace(t, _normalize_spine(t)[0], "longest", sigma(t))
+    return Trace(t, _normal_form(t)[0], "longest", sigma(t))
 
 
 STRATEGIES = ("shortest", "longest")

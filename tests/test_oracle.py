@@ -280,6 +280,13 @@ def test_verify_all_checks_the_cap_before_building(monkeypatch, n_max, cap, name
     assert built == []
 
 
+@pytest.mark.parametrize("build", [enumerate_shapes, build_graph, verify_all])
+def test_negative_sizes_are_rejected(build):
+    # an empty report list for verify_all would pass vacuously
+    with pytest.raises(ValueError, match="shape size must be nonnegative"):
+        build(-2)
+
+
 # ---------------------------------------------------------------------------
 # verification oracles
 

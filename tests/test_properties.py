@@ -15,6 +15,7 @@ from assocnf.terms import (
     Node,
     depth_rightmost,
     is_normal_form,
+    measure,
     parse,
     render,
     sigma,
@@ -88,6 +89,19 @@ def test_strategies_reach_the_same_normal_form(t):
     assert len(short.steps) == size(t) - depth_rightmost(t)
     assert len(long.steps) == sigma(t)
     assert len(short.steps) <= len(long.steps)
+
+
+def _leaf_objects(t):
+    return [t] if isinstance(t, Leaf) else _leaf_objects(t.left) + _leaf_objects(t.right)
+
+
+@given(terms)
+def test_normal_form_is_built_from_the_terms_own_leaves(t):
+    # the chain hangs t's Leaf objects in order; an NF comes back as itself
+    leaf_ids = [id(x) for x in _leaf_objects(t)]
+    for trace in (normalize_shortest(t), normalize_longest(t)):
+        assert [id(x) for x in _leaf_objects(trace.final)] == leaf_ids
+        assert (trace.final is t) == measure(t).is_nf
 
 
 @given(terms)

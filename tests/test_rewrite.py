@@ -335,6 +335,17 @@ def test_steps_view_is_a_read_only_sequence():
         trace.step_count = 0
 
 
+@pytest.mark.parametrize("index", [1.5, "x", None])
+def test_steps_index_must_be_an_integer(index):
+    # the same TypeError as a tuple gives, not islice's ValueError
+    steps = normalize(left_chain(4), "longest").steps
+    with pytest.raises(TypeError):
+        steps[index]
+    with pytest.raises(TypeError):
+        tuple(steps)[index]
+    assert steps[True] == steps[1] == tuple(steps)[1]
+
+
 def test_steps_reversed_and_index_replay_once(monkeypatch):
     # Sequence's own reversed and index call __getitem__ per index, and each
     # call replays from the start: 18,145 apply_at calls here
