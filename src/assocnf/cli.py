@@ -36,7 +36,7 @@ from .terms import ParseError, measure, parse, render
 
 __all__ = ["main"]
 
-_PIECE = 4096  # characters per stdout write of a DOT graph, under io.DEFAULT_BUFFER_SIZE
+_PIECE = 4096  # characters per write of a DOT graph, under io.DEFAULT_BUFFER_SIZE
 
 
 def _cmd_nf(args: SimpleNamespace) -> int:
@@ -68,10 +68,13 @@ def _cmd_trace(args: SimpleNamespace) -> int:
     # One write per line: print makes two.
     write = sys.stdout.write
     if not args.quiet:
-        write(f"start {render(trace.start)}\n")
-        for position, text in _step_texts(trace):
+        # The last step's text is the normal form's, so the start is the
+        # only term rendered.
+        text = render(trace.start)
+        write(f"start {text}\n")
+        for position, text in _step_texts(trace.strategy, text):
             write(f"{format_position(position)} ⊳ {text}\n")
-        write(f"final {render(trace.final)}\n")
+        write(f"final {text}\n")
     write(f"steps={trace.step_count}\n")
     return 0
 
@@ -103,16 +106,18 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
 
 def _cmd_graph(args: SimpleNamespace) -> int:
+    # Imported here: no other command needs it at start-up.
+    from contextlib import nullcontext
+
     dot = export_dot(build_graph(args.n, cap=args.cap))
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dot)
-    else:
-        # In pieces that fit the stdout buffer: one write larger than it can
-        # lose the BrokenPipeError of a closed pipe (CPython 3.11 returns a
-        # short count), while a buffer flush raises it.
+    stdout = nullcontext(sys.stdout)  # left open on exit
+    # In pieces that fit the output buffer: one write larger than it can
+    # lose the BrokenPipeError of a closed pipe (CPython 3.11 returns a short
+    # count), while a buffer flush raises it; and a file encodes one piece
+    # at a time, not a second copy of the whole text.
+    with stdout if args.out is None else open(args.out, "w", encoding="utf-8") as fh:
         for start in range(0, len(dot), _PIECE):
-            sys.stdout.write(dot[start : start + _PIECE])
+            fh.write(dot[start : start + _PIECE])
     return 0
 
 

@@ -417,7 +417,7 @@ def records_jsonl(reports: list[VerificationReport]) -> str:
         for r in reports
         for rec in r.records
     ]
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])
 
 
 def export_dot(g: RewriteGraph) -> str:
@@ -430,5 +430,5 @@ def export_dot(g: RewriteGraph) -> str:
     ]
     for u, vs in zip(nodes, g.targets):
         lines += [f'  "{u}" -> "{nodes[v]}";' for v in vs]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += ("}", "")  # the text ends with a newline
+    return "\n".join(lines)

@@ -23,12 +23,14 @@ Replaying a trace reads ``render(start)`` once (``_rotations``): a rotation
 keeps the in-order order of leaves and nodes, so each step is a fixed set
 of in-order numbers of the start, and both strategies' steps come in closed
 form from arrays built in one pass over that text; nothing is rotated,
-rebuilt or walked down per step.  The ``steps`` view turns those positions
-into terms with :func:`apply_at` each time it is iterated, O(size) per
-step.  The CLI prints a trace from the pieces of ``render(start)`` split at
-``*`` instead (``_step_texts``): a rotation moves one ``(`` and one ``)`` of
-the text, so each step costs four chunk edits and one join, and printing
-the steps builds no term at all.
+rebuilt or walked down per step.  The shortest steps are the preorder of
+the nodes off the root's right spine, each turned at ``R^(its first
+leaf)``.  The ``steps`` view turns those positions into terms with
+:func:`apply_at` each time it is iterated, O(size) per step.  The CLI
+renders the start once and prints the trace from the pieces of that text
+split at ``*`` (``_step_texts``): a rotation moves one ``(`` and one ``)``
+of the text, so each step costs four chunk edits and one join, and
+printing the steps builds no term at all.
 
 :func:`apply_at` is the only code that rotates a term.
 :func:`step_shortest` finds its position and calls it, and so does the
@@ -41,7 +43,6 @@ positions come first and ties break lexicographically with ``L < R``.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import islice
@@ -148,13 +149,9 @@ class Steps(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self)[index]
-        index = operator.index(index)
-        n = len(self)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("step index out of range")
-        return next(islice(self, index, None))
+        # range indexes as a tuple does: negative and bool indices, TypeError
+        # and IndexError.
+        return next(islice(self, range(len(self))[index], None))
 
     def __reversed__(self) -> Iterator[Step]:
         """One replay, kept whole.
@@ -291,19 +288,19 @@ def _rotations(strategy: str, text: str) -> Iterator[tuple[Position, int, int, i
     node ``i`` the i-th ``*`` of the text, so node ``i``'s left subtree ends
     at leaf ``i``.  A rotation keeps the in-order order of leaves and nodes,
     so these numbers hold in every term of the trace, and every step is read
-    off fixed arrays of the start: ``left``, ``right``, the last leaf
-    ``hi`` and, for the longest strategy, the first leaf ``lo`` of each
-    node.  The nodes with ``hi == n`` are the root's right spine.  Nodes are
-    numbered by their place in the text, not by identity, since terms share
-    subtrees.
+    off fixed arrays of the start: ``left``, ``right``, and the first leaf
+    ``lo`` and last leaf ``hi`` of each node.  The nodes with ``hi == n``
+    are the root's right spine.  Nodes are numbered by their place in the
+    text, not by identity, since terms share subtrees.
 
     * Shortest: a rotation at ``R^k`` moves onto the spine one node whose
       first leaf is ``k``, and changes no other off-spine node's first leaf
-      or subtree.  So for ``k`` ascending it turns, top-down, each node off
-      the spine whose first leaf is ``k``.  They are node ``k``, when leaf
-      ``k`` is its left child, and the chain of nodes above it that each
-      have the one before as left child; the chain is climbed to its top
-      and turned on the way back down.
+      or subtree.  So it turns each node off the spine once, each at
+      ``R^(its first leaf)``, by first leaf ascending and, for one first
+      leaf, top-down.  That is the preorder of the off-spine nodes: a
+      node's left child has the node's first leaf, and its right subtree
+      starts after its left subtree.  One preorder walk from the root
+      yields them.
     * Longest: take the start's redexes deepest level first, left to right.
       When redex ``j`` at ``p`` is reached, the subterms below it are
       already right chains, so it fires at ``p, pR, ...``, once per node of
@@ -334,25 +331,25 @@ def _rotations(strategy: str, text: str) -> Iterator[tuple[Position, int, int, i
     hi = [0] * n
     for i in reversed(range(n)):
         hi[i] = hi[right[i]] if right[i] >= 0 else i + 1
-    if strategy == "shortest":
-        for k in range(n):
-            if left[k] >= 0:
-                continue  # leaf k is a right child: no node starts there
-            top = k  # a left child's parent is the node after its last leaf
-            while hi[top] < n and left[hi[top]] == top:
-                top = hi[top]
-            a = top if hi[top] < n else left[top]
-            p = "R" * k
-            while a >= 0:
-                yield p, k, a, hi[a], n
-                a = left[a]
-        return
-    if strategy != "longest":
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     lo: list[int] = []
     for i, child in enumerate(left):  # a left child comes before its parent
         lo.append(lo[child] if child >= 0 else i)
     root = done[0]
+    if strategy == "shortest":
+        # An off-spine node is the left child of the spine node after its
+        # last leaf.
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            if a < 0:
+                continue
+            if hi[a] < n:
+                yield "R" * lo[a], lo[a], a, hi[a], n
+            stack.append(right[a])
+            stack.append(left[a])
+        return
+    if strategy != "longest":
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     levels = []
     level = [root] if n else []
     while level:
@@ -372,24 +369,24 @@ def _rotations(strategy: str, text: str) -> Iterator[tuple[Position, int, int, i
                 yield p + "R" * (e - lo[j]), e, e, j, hi[j]
 
 
-def _step_texts(trace: Trace) -> Iterator[tuple[Position, str]]:
-    """``(position, render(term_after))`` for each step of ``trace``.
+def _step_texts(strategy: str, text: str) -> Iterator[tuple[Position, str]]:
+    """``(position, render(term_after))`` for each step of ``strategy``
+    from the term whose canonical text is ``text``.
 
-    Labels hold no ``*``, so ``render(start).split("*")`` gives one chunk
-    per leaf: the leaf with its ``(`` before and its ``)`` after.  A
-    rotation at ``b`` with left child ``a`` over leaves ``lo..hi`` moves one
-    ``(`` from leaf ``lo`` to leaf ``a+1`` and one ``)`` from leaf ``b`` to
-    leaf ``hi`` (see :func:`_rotations`), so a step costs four chunk edits
-    and one join, and no term is built.
+    Labels hold no ``*``, so ``text.split("*")`` gives one chunk per leaf:
+    the leaf with its ``(`` before and its ``)`` after.  A rotation at ``b``
+    with left child ``a`` over leaves ``lo..hi`` moves one ``(`` from leaf
+    ``lo`` to leaf ``a+1`` and one ``)`` from leaf ``b`` to leaf ``hi`` (see
+    :func:`_rotations`), so a step costs four chunk edits and one join, and
+    no term is built or rendered.
 
     Output-bound: every step yields a whole text, so the steps take
     Θ(steps × size) time and characters in all, up to Θ(size³) for the
     longest strategy.  Streamed, only the current text is alive; a caller
     that keeps them all holds that many characters.
     """
-    text = render(trace.start)
     chunks = text.split("*")
-    for p, lo, a, b, hi in _rotations(trace.strategy, text):
+    for p, lo, a, b, hi in _rotations(strategy, text):
         chunks[lo] = chunks[lo][1:]
         chunks[a + 1] = "(" + chunks[a + 1]
         chunks[b] = chunks[b][:-1]

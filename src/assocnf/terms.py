@@ -91,7 +91,9 @@ class Leaf(Term):
     __slots__ = ("label",)
 
     def __init__(self, label: str | None = None):
-        if label is not None and (not label or not set(label) <= _LABEL_CHARS):
+        if label is not None and (
+            not isinstance(label, str) or not label or not set(label) <= _LABEL_CHARS
+        ):
             raise ValueError(f"invalid leaf label: {label!r}")
         self.label = label
 

@@ -439,7 +439,9 @@ REPLAY_PEAK_REFERENCE = {
     },
 }
 REPLAYS = {
-    "_step_texts": lambda trace: deque(_step_texts(trace), maxlen=0),
+    "_step_texts": lambda trace: deque(
+        _step_texts(trace.strategy, render(trace.start)), maxlen=0
+    ),
     "trace.steps": lambda trace: deque(trace.steps, maxlen=0),
 }
 
@@ -451,7 +453,7 @@ def test_trace_replay_allocation_counts(family, strategy, constructions):
     n = REPLAY_SIZES[strategy]
     trace = normalize(ALLOCATION_FAMILIES[family](n), strategy)
     constructions.clear()
-    deque(_step_texts(trace), maxlen=0)
+    deque(_step_texts(trace.strategy, render(trace.start)), maxlen=0)
     assert constructions == {}
     positions = [step.position for step in trace.steps]
     assert constructions["Leaf"] == 0
@@ -486,6 +488,24 @@ def test_shape_count_peak_is_one_slot_per_shape(capsys):
     print(
         f"PASS count peak gate: enumerate 12 --count-only peaks at "
         f"{per_shape:.1f} B per shape of sizes 0..12"
+    )
+
+
+# Python 3.11 reading, in peak bytes per character of the DOT text: the
+# graph, the DOT text and its lines.  The file gets the text one piece at a
+# time, so no whole encoded copy and no second joined copy is alive.
+GRAPH_PEAK_REFERENCE = 3.12
+
+
+def test_graph_file_peak_holds_one_copy_of_the_text(tmp_path, capsys):
+    path = tmp_path / "g.dot"
+    peak = _peak_bytes(main, ["graph", "10", "--out", str(path)])
+    per_char = peak / len(path.read_text(encoding="utf-8"))
+    assert capsys.readouterr().out == ""
+    assert per_char <= 1.15 * GRAPH_PEAK_REFERENCE, round(per_char, 2)
+    print(
+        f"PASS graph peak gate: graph 10 --out peaks at {per_char:.2f} B per "
+        f"DOT character"
     )
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import assocnf.cli as cli
+import assocnf.rewrite as rewrite
 from assocnf.oracle import VerificationReport, build_graph, enumerate_shapes, export_dot
 from assocnf.rewrite import STRATEGIES, format_position, normalize
 from assocnf.terms import parse, render
@@ -150,6 +151,28 @@ def test_trace_leaf_has_no_steps(capsys):
     code, out, _ = run(capsys, "trace", "--strategy", "shortest", "a")
     assert code == 0
     assert out == "start a\nfinal a\nsteps=0\n"
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("term", [SPINE_TERM, "(a*(b*(c*d)))"])
+def test_printed_trace_renders_once(capsys, monkeypatch, strategy, term):
+    # the start's text is the only one rendered: the steps edit it, and
+    # final is the last step's text, or the start's for a normal form
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return render(t)
+
+    for module in (cli, rewrite):
+        monkeypatch.setattr(module, "render", counted)
+    code, out, _ = run(capsys, "trace", "--strategy", strategy, term)
+    assert code == 0 and len(calls) == 1
+    trace = normalize(parse(term), strategy)
+    assert out.splitlines()[-2] == f"final {render(trace.final)}"
+    calls.clear()
+    assert run(capsys, "trace", "--quiet", "--strategy", strategy, term)[0] == 0
+    assert calls == []
 
 
 def test_trace_quiet(capsys):

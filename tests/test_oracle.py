@@ -541,6 +541,7 @@ def test_records_jsonl_escapes_like_json_dumps():
         for r in records
     )
     assert records_jsonl([report, report]) == expected + "\n" + expected + "\n"
+    assert records_jsonl([]) == ""
 
 
 def test_verify_all_measures_match_terms_measure():

@@ -129,4 +129,4 @@ def test_strategies_match_reference_step_by_step(t):
 def test_step_texts_match_rendered_steps(t):
     for trace in (normalize_shortest(t), normalize_longest(t)):
         expected = [(s.position, render(s.term_after)) for s in trace.steps]
-        assert list(_step_texts(trace)) == expected
+        assert list(_step_texts(trace.strategy, render(trace.start))) == expected

@@ -289,7 +289,8 @@ def test_step_texts_match_rendered_steps():
         for strategy in ("shortest", "longest"):
             trace = normalize(t, strategy)
             expected = [(s.position, render(s.term_after)) for s in trace.steps]
-            assert list(_step_texts(trace)) == expected, (render(t), strategy)
+            texts = _step_texts(trace.strategy, render(trace.start))
+            assert list(texts) == expected, (render(t), strategy)
 
 
 def _positions(strategy, t):

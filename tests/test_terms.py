@@ -149,6 +149,11 @@ def test_leaf_label_validation():
         Leaf("A")
     with pytest.raises(ValueError):
         Leaf("a b")
+    # not a str: a list or tuple of valid characters would pass the set
+    # test and break render, str and hash later
+    for label in (["a", "b"], ("a",), 5, b"ab"):
+        with pytest.raises(ValueError, match="invalid leaf label"):
+            Leaf(label)
 
 
 def test_size():
