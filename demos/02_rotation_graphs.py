@@ -40,8 +40,8 @@ def main():
 
     banner("THE n=3 ROTATION GRAPH (a pentagon)")
     g = build_graph(3)
-    for u in g.nodes:
-        targets = ", ".join(g.succ[u]) if g.succ[u] else "(normal form)"
+    for u, vs in zip(g.nodes, g.targets):
+        targets = ", ".join(g.nodes[v] for v in vs) if vs else "(normal form)"
         print(f"  {u}  ->  {targets}")
     print(f"  termination: {verify_sn(g)}")
     print(f"  local confluence: {verify_wcr(g)}")
@@ -62,7 +62,8 @@ def main():
 
     banner("DOT EXPORT")
     out = Path("rotation_graph_n4.dot")
-    out.write_text(export_dot(g4), encoding="utf-8")
+    with out.open("w", encoding="utf-8") as fh:
+        fh.writelines(export_dot(g4))
     print(f"  wrote {out} ({g4.edge_count} edges); render it with:")
     print(f"    dot -Tpng -O {out}")
 

@@ -36,8 +36,6 @@ from .terms import ParseError, measure, parse, render
 
 __all__ = ["main"]
 
-_PIECE = 4096  # characters per write of a DOT graph, under io.DEFAULT_BUFFER_SIZE
-
 
 def _cmd_nf(args: SimpleNamespace) -> int:
     if args.file is None:
@@ -100,7 +98,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     # Records first, so a bad path leaves stdout empty, as in nf --file.
     if args.records is not None:
         with open(args.records, "w", encoding="utf-8") as fh:
-            fh.write(records_jsonl(reports))
+            fh.writelines(records_jsonl(reports))
     sys.stdout.write(report_table(reports))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -109,15 +107,13 @@ def _cmd_graph(args: SimpleNamespace) -> int:
     # Imported here: no other command needs it at start-up.
     from contextlib import nullcontext
 
-    dot = export_dot(build_graph(args.n, cap=args.cap))
+    # The graph is built before the file is opened, so a cap or size error
+    # creates no file.  Each line is far below the output buffer, so a
+    # closed pipe raises BrokenPipeError at a buffer flush.
+    lines = export_dot(build_graph(args.n, cap=args.cap))
     stdout = nullcontext(sys.stdout)  # left open on exit
-    # In pieces that fit the output buffer: one write larger than it can
-    # lose the BrokenPipeError of a closed pipe (CPython 3.11 returns a short
-    # count), while a buffer flush raises it; and a file encodes one piece
-    # at a time, not a second copy of the whole text.
     with stdout if args.out is None else open(args.out, "w", encoding="utf-8") as fh:
-        for start in range(0, len(dot), _PIECE):
-            fh.write(dot[start : start + _PIECE])
+        fh.writelines(lines)
     return 0
 
 

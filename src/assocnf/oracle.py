@@ -36,6 +36,7 @@ edge that does not ascend.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
@@ -59,8 +60,6 @@ __all__ = [
     "verify_unique_nf",
     "longest_paths",
     "shortest_paths",
-    "longest_path_from",
-    "shortest_path_from",
     "verify_all",
     "report_table",
     "records_jsonl",
@@ -139,19 +138,11 @@ class RewriteGraph(namedtuple("RewriteGraph", "n nodes targets")):
     ``targets[i]`` holds the indices into ``nodes`` of node ``i``'s
     successors, ascending, and every one is larger than ``i``: the searches
     run over the nodes in reverse index order, and raise ``ValueError`` on
-    a graph that breaks this.  ``succ`` is a view derived from it that maps
-    each node to ``{successor: 1}``.  Graphs are not changed once built, so
-    searches are computed once.  No ``__slots__``: the cached searches live
-    in the instance ``__dict__``.
+    a graph that breaks this.  A node's successors as texts are
+    ``[nodes[v] for v in targets[i]]``.  Graphs are not changed once built,
+    so searches are computed once.  No ``__slots__``: the cached searches
+    live in the instance ``__dict__``.
     """
-
-    @cached_property
-    def succ(self) -> dict[str, dict[str, int]]:
-        nodes = self.nodes
-        return {
-            u: dict.fromkeys([nodes[v] for v in vs], 1)
-            for u, vs in zip(nodes, self.targets)
-        }
 
     @property
     def edge_count(self) -> int:
@@ -281,24 +272,6 @@ def shortest_paths(g: RewriteGraph) -> dict[str, int]:
     return dict(zip(g.nodes, g._sink_distance))
 
 
-def _graph_index(g: RewriteGraph, t: Term | str) -> int:
-    key = t if isinstance(t, str) else render(t)
-    try:
-        return g.nodes.index(key)
-    except ValueError:
-        raise ValueError(f"term not in graph: {key}") from None
-
-
-def longest_path_from(g: RewriteGraph, t: Term | str) -> int:
-    """Exact longest rewrite distance from ``t`` to the normal-form sink."""
-    return g._longest_distance[_graph_index(g, t)]
-
-
-def shortest_path_from(g: RewriteGraph, t: Term | str) -> int:
-    """Exact shortest rewrite distance from ``t`` to the normal-form sink."""
-    return g._sink_distance[_graph_index(g, t)]
-
-
 class TermRecord(namedtuple("TermRecord", "term size sigma d_rm longest shortest")):
     """Measures and oracle path lengths for one shape."""
 
@@ -403,32 +376,35 @@ def report_table(reports: list[VerificationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def records_jsonl(reports: list[VerificationReport]) -> str:
-    """Machine-readable form: one JSON object per shape per line.
+def records_jsonl(reports: list[VerificationReport]) -> Iterator[str]:
+    """Machine-readable form: one JSON object per shape, one line each.
 
-    Lines are formatted directly, quoting with ``json.dumps``'s escaper.
+    Yields the lines one at a time, each ending in ``"\\n"``, so a writer
+    never holds them all.  Lines are formatted directly, quoting with
+    ``json.dumps``'s escaper.
     """
     # Imported here, not at the top: json costs every CLI start-up a few ms.
     from json.encoder import encode_basestring_ascii as quote
 
-    lines = [
+    return (
         f'{{"term": {quote(rec.term)}, "n": {rec.size}, "sigma": {rec.sigma}, '
-        f'"d_rm": {rec.d_rm}, "longest": {rec.longest}, "shortest": {rec.shortest}}}'
+        f'"d_rm": {rec.d_rm}, "longest": {rec.longest}, "shortest": {rec.shortest}}}\n'
         for r in reports
         for rec in r.records
-    ]
-    return "\n".join([*lines, ""])
+    )
 
 
-def export_dot(g: RewriteGraph) -> str:
-    """DOT text for ``g``: sorted nodes and edges, sinks double-bordered."""
-    nodes = g.nodes
-    lines = ["digraph rewrites {"]
-    lines += [
-        f'  "{u}";' if vs else f'  "{u}" [peripheries=2];'
-        for u, vs in zip(nodes, g.targets)
-    ]
-    for u, vs in zip(nodes, g.targets):
-        lines += [f'  "{u}" -> "{nodes[v]}";' for v in vs]
-    lines += ("}", "")  # the text ends with a newline
-    return "\n".join(lines)
+def export_dot(g: RewriteGraph) -> Iterator[str]:
+    """DOT text for ``g``: sorted nodes and edges, sinks double-bordered.
+
+    Yields the text one line at a time, each ending in ``"\\n"``: the header,
+    the nodes, the edges, then ``"}"``.
+    """
+    nodes, targets = g.nodes, g.targets
+    yield "digraph rewrites {\n"
+    for u, vs in zip(nodes, targets):
+        yield f'  "{u}";\n' if vs else f'  "{u}" [peripheries=2];\n'
+    for u, vs in zip(nodes, targets):
+        for v in vs:
+            yield f'  "{u}" -> "{nodes[v]}";\n'
+    yield "}\n"

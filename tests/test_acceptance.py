@@ -491,21 +491,29 @@ def test_shape_count_peak_is_one_slot_per_shape(capsys):
     )
 
 
-# Python 3.11 reading, in peak bytes per character of the DOT text: the
-# graph, the DOT text and its lines.  The file gets the text one piece at a
-# time, so no whole encoded copy and no second joined copy is alive.
-GRAPH_PEAK_REFERENCE = 3.12
+# The writers hand the file one line at a time, so writing the output adds
+# next to nothing to the peak of what it is made from: no whole text, no list
+# of its lines and no encoded copy is ever alive.
 
 
 def test_graph_file_peak_holds_one_copy_of_the_text(tmp_path, capsys):
     path = tmp_path / "g.dot"
     peak = _peak_bytes(main, ["graph", "10", "--out", str(path)])
-    per_char = peak / len(path.read_text(encoding="utf-8"))
+    ratio = peak / _peak_bytes(build_graph, 10)
     assert capsys.readouterr().out == ""
-    assert per_char <= 1.15 * GRAPH_PEAK_REFERENCE, round(per_char, 2)
+    assert ratio <= 1.10, round(ratio, 3)
+    print(f"PASS graph peak gate: graph 10 --out peaks at {ratio:.2f}x build_graph(10)")
+
+
+def test_verify_records_peak_is_the_verify_peak(tmp_path, capsys):
+    path = tmp_path / "r.jsonl"
+    peak = _peak_bytes(main, ["verify", "--max-n", "10", "--records", str(path)])
+    ratio = peak / _peak_bytes(main, ["verify", "--max-n", "10"])
+    assert capsys.readouterr().out.count("PASS") == 4 * 11
+    assert ratio <= 1.05, round(ratio, 3)
     print(
-        f"PASS graph peak gate: graph 10 --out peaks at {per_char:.2f} B per "
-        f"DOT character"
+        f"PASS records peak gate: verify --max-n 10 --records peaks at "
+        f"{ratio:.2f}x verify --max-n 10"
     )
 
 

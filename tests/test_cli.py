@@ -395,7 +395,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 def test_graph_to_stdout(capsys):
     code, out, _ = run(capsys, "graph", "2")
     assert code == 0
-    assert out == export_dot(build_graph(2))
+    assert out == "".join(export_dot(build_graph(2)))
 
 
 def test_graph_to_file(tmp_path, capsys):
@@ -403,7 +403,7 @@ def test_graph_to_file(tmp_path, capsys):
     code, out, _ = run(capsys, "graph", "3", "--out", str(path))
     assert code == 0
     assert out == ""
-    assert path.read_text(encoding="utf-8") == export_dot(build_graph(3))
+    assert path.read_text(encoding="utf-8") == "".join(export_dot(build_graph(3)))
 
 
 def test_graph_cap_exceeded(capsys):
@@ -440,14 +440,18 @@ def _env():
     [
         (("enumerate", "10"), b"(((((((((("),
         (("graph", "10"), b"digraph re"),
+        (("graph", "10", "--out", "/dev/stdout"), b"digraph re"),
+        (("verify", "--max-n", "10", "--records", "/dev/stdout"), b'{"term": '),
         (("trace", "--strategy", "longest", "(" * 200 + "." + "*.)" * 200), b"start (((("),
     ],
-    ids=["enumerate", "graph", "trace"],
+    ids=["enumerate", "graph", "graph-out", "verify-records", "trace"],
 )
 def test_closed_pipe_exits_2_with_one_error_line(argv, head):
     # Each prints megabytes, well over a pipe buffer, so the process is
     # still writing when the reader goes away: enumerate 10 about 700 KB,
-    # graph 10 about 7.9 MB from one string, the 19,900-step trace more.
+    # graph 10 about 7.9 MB a line at a time, its records about 2.7 MB, the
+    # 19,900-step trace more.  --out and --records write the pipe through
+    # a file of their own, not through sys.stdout.
     proc = subprocess.Popen(
         [sys.executable, "-m", "assocnf.cli", *argv],
         stdout=subprocess.PIPE,

@@ -16,11 +16,9 @@ from assocnf.oracle import (
     build_graph,
     enumerate_shapes,
     export_dot,
-    longest_path_from,
     longest_paths,
     records_jsonl,
     report_table,
-    shortest_path_from,
     shortest_paths,
     verify_all,
     verify_sn,
@@ -91,14 +89,14 @@ def test_word_kernel_matches_the_rewrite_rule():
     for n in range(9):
         shapes = enumerate_shapes(n)
         text_of = {preorder_word(render(t)): render(t) for t in shapes}
-        g = build_graph(n)
+        successors = _successors(build_graph(n))
         for t in shapes:
             key = render(t)
             rotated = [text_of[v] for v in scan_successors(preorder_word(key), 2 * n + 1)]
             expected = {render(apply_at(t, p)) for p in find_redexes(t)}
             assert len(rotated) == len(find_redexes(t)), key
             assert set(rotated) == expected, key
-            assert list(g.succ[key]) == sorted(expected), key
+            assert successors[key] == sorted(expected), key
     # and on random shapes at the size criterion 4 searches with this kernel
     counts = catalan_counts(12)
     rng = random.Random(1212)
@@ -115,6 +113,11 @@ def test_word_kernel_matches_the_rewrite_rule():
 # graph construction
 
 
+def _successors(g):
+    """Each node's successors as texts: its targets mapped to ``g.nodes``."""
+    return {u: [g.nodes[v] for v in vs] for u, vs in zip(g.nodes, g.targets)}
+
+
 def test_graph_n1():
     g = build_graph(1)
     assert g.nodes == ("(.*.)",)
@@ -125,28 +128,20 @@ def test_graph_n1():
 def test_graph_n2():
     g = build_graph(2)
     assert g.nodes == ("((.*.)*.)", "(.*(.*.))")
-    assert g.succ["((.*.)*.)"] == {"(.*(.*.))": 1}
-    assert g.succ["(.*(.*.))"] == {}
+    assert _successors(g) == {"((.*.)*.)": ["(.*(.*.))"], "(.*(.*.))": []}
 
 
 def test_graph_n3_pentagon():
     g = build_graph(3)
     assert len(g.nodes) == 5
-    assert g.succ == {
-        "(((.*.)*.)*.)": {"((.*(.*.))*.)": 1, "((.*.)*(.*.))": 1},
-        "((.*(.*.))*.)": {"(.*((.*.)*.))": 1},
-        "((.*.)*(.*.))": {"(.*(.*(.*.)))": 1},
-        "(.*((.*.)*.))": {"(.*(.*(.*.)))": 1},
-        "(.*(.*(.*.)))": {},
+    assert _successors(g) == {
+        "(((.*.)*.)*.)": ["((.*(.*.))*.)", "((.*.)*(.*.))"],
+        "((.*(.*.))*.)": ["(.*((.*.)*.))"],
+        "((.*.)*(.*.))": ["(.*(.*(.*.)))"],
+        "(.*((.*.)*.))": ["(.*(.*(.*.)))"],
+        "(.*(.*(.*.)))": [],
     }
     assert g.sinks() == [render(right_chain(3))]
-
-
-def test_graph_multiplicities_are_positive():
-    for n in range(7):
-        g = build_graph(n)
-        for targets in g.succ.values():
-            assert all(m >= 1 for m in targets.values())
 
 
 @pytest.fixture(scope="module")
@@ -310,7 +305,7 @@ def test_wcr_divergence_joins_at_the_sink():
     # the two one-step successors of the 3-left-chain rejoin in one step each
     g = build_graph(3)
     w = render(left_chain(3))
-    x, y = sorted(g.succ[w])
+    x, y = sorted(_successors(g)[w])
     assert x == "((.*(.*.))*.)" and y == "((.*.)*(.*.))"
     nf = render(right_chain(3))
     assert shortest_paths(g)[x] >= 1 and shortest_paths(g)[y] >= 1
@@ -320,11 +315,12 @@ def test_wcr_divergence_joins_at_the_sink():
 
 
 def _reachable(g, start):
+    successors = _successors(g)
     seen = {start}
     frontier = [start]
     while frontier:
         u = frontier.pop()
-        for v in g.succ.get(u, {}):
+        for v in successors[u]:
             if v not in seen:
                 seen.add(v)
                 frontier.append(v)
@@ -398,7 +394,7 @@ def test_acyclic_graphs_with_a_descending_edge_are_rejected(targets):
     # no cycle, but an edge to a smaller index, first in its tuple or not
     g = RewriteGraph(n=-1, nodes=("a", "b", "c")[: len(targets)], targets=targets)
     assert not verify_sn(g)
-    for check in (longest_paths, verify_wcr, verify_unique_nf):
+    for check in (longest_paths, shortest_paths, verify_wcr, verify_unique_nf):
         with pytest.raises(ValueError):
             check(g)
 
@@ -409,46 +405,23 @@ def test_acyclic_graphs_with_a_descending_edge_are_rejected(targets):
 
 def test_paths_of_left_chain():
     g = build_graph(4)
-    assert longest_path_from(g, left_chain(4)) == 6
-    assert shortest_path_from(g, left_chain(4)) == 3
+    assert longest_paths(g)[render(left_chain(4))] == 6
+    assert shortest_paths(g)[render(left_chain(4))] == 3
 
 
 def test_paths_of_right_chain():
     g = build_graph(5)
-    assert longest_path_from(g, right_chain(5)) == 0
-    assert shortest_path_from(g, right_chain(5)) == 0
-
-
-def test_paths_accept_canonical_strings():
-    g = build_graph(3)
-    assert longest_path_from(g, "(((.*.)*.)*.)") == 3
-    assert shortest_path_from(g, "(((.*.)*.)*.)") == 2
-
-
-def test_paths_reject_unknown_terms():
-    g = build_graph(2)
-    with pytest.raises(ValueError):
-        longest_path_from(g, parse("(a*b)"))
+    assert longest_paths(g)[render(right_chain(5))] == 0
+    assert shortest_paths(g)[render(right_chain(5))] == 0
 
 
 def test_path_lookups_on_cyclic_graphs():
+    # a cycle away from the sink still fails both tables
     g = RewriteGraph(n=-1, nodes=("a", "b", "c"), targets=((1,), (0,), ()))
     with pytest.raises(ValueError):
-        shortest_path_from(g, "a")
+        shortest_paths(g)
     with pytest.raises(ValueError):
-        shortest_path_from(g, "c")
-    with pytest.raises(ValueError):
-        longest_path_from(g, "c")
-
-
-def test_path_lookups_match_the_path_tables():
-    for n in range(8):
-        g = build_graph(n)
-        longest = longest_paths(g)
-        shortest = shortest_paths(g)
-        for key in g.nodes:
-            assert longest_path_from(g, key) == longest[key]
-            assert shortest_path_from(g, key) == shortest[key]
+        longest_paths(g)
 
 
 def test_path_oracles_match_measures_on_small_sizes():
@@ -495,7 +468,7 @@ def test_report_table_has_one_pass_row_per_size():
 
 def test_records_jsonl_round_trips():
     reports = verify_all(2)
-    lines = records_jsonl(reports).strip().split("\n")
+    lines = "".join(records_jsonl(reports)).strip().split("\n")
     records = [json.loads(line) for line in lines]
     assert len(records) == 4  # C(0) + C(1) + C(2)
     by_term = {r["term"]: r for r in records}
@@ -527,7 +500,7 @@ def test_records_jsonl_escapes_like_json_dumps():
         max_longest=2,
         max_attained_by=(terms[2],),
     )
-    expected = "\n".join(
+    expected = [
         json.dumps(
             {
                 "term": r.term,
@@ -538,10 +511,12 @@ def test_records_jsonl_escapes_like_json_dumps():
                 "shortest": r.shortest,
             }
         )
+        + "\n"
         for r in records
-    )
-    assert records_jsonl([report, report]) == expected + "\n" + expected + "\n"
-    assert records_jsonl([]) == ""
+    ]
+    # one newline-terminated line per record, yielded one at a time
+    assert list(records_jsonl([report, report])) == expected + expected
+    assert list(records_jsonl([])) == []
 
 
 def test_verify_all_measures_match_terms_measure():
@@ -557,18 +532,19 @@ def test_verify_all_measures_match_terms_measure():
 
 
 def test_export_dot_n1():
-    dot = export_dot(build_graph(1))
-    assert dot == 'digraph rewrites {\n  "(.*.)" [peripheries=2];\n}\n'
+    # one newline-terminated line per item: header, node, closing brace
+    lines = list(export_dot(build_graph(1)))
+    assert lines == ["digraph rewrites {\n", '  "(.*.)" [peripheries=2];\n', "}\n"]
 
 
 def test_export_dot_n2():
-    dot = export_dot(build_graph(2))
+    dot = "".join(export_dot(build_graph(2)))
     assert dot.count("->") == 1
     assert '"(.*(.*.))" [peripheries=2];' in dot
 
 
 def test_export_dot_edge_count_matches_graph():
     g = build_graph(3)
-    dot = export_dot(g)
+    dot = "".join(export_dot(g))
     assert dot.count("->") == g.edge_count
-    assert dot == export_dot(build_graph(3))
+    assert dot == "".join(export_dot(build_graph(3)))

@@ -20,8 +20,7 @@ def test_exported_names_are_unchanged():
         "ENUMERATION_CAP", "GRAPH_CAP", "CapExceeded", "RewriteGraph",
         "TermRecord", "VerificationReport", "enumerate_shapes", "build_graph",
         "verify_sn", "verify_wcr", "verify_unique_nf", "longest_paths",
-        "shortest_paths", "longest_path_from", "shortest_path_from",
-        "verify_all", "report_table", "records_jsonl", "export_dot",
+        "shortest_paths", "verify_all", "report_table", "records_jsonl", "export_dot",
         "__version__",
     }
     assert len(assocnf.__all__) == len(set(assocnf.__all__))
