@@ -20,25 +20,29 @@ bits, most significant first, 0 for a node and 1 for a leaf.  Two facts:
 
 Every shape list comes from one split recurrence, ``_split``, with a join
 per caller: ``_shapes`` builds words and values, :func:`build_graph` words,
-texts and amounts, and ``_count`` nothing at all, so the count that
-``enumerate --count-only`` prints holds one shared reference per shape.
+texts and amounts, ``_count`` nothing at all, so the count that
+``enumerate --count-only`` prints holds one shared reference per shape, and
+:func:`verify_all` words and measures.  The recurrence yields each size as it
+completes it, so ``verify_all`` runs it once for every size.
 
 Node ``i`` is the ``i``-th word; edges are index tuples, and searches and
 checks run on indices.  Strings are made once per shape, for output: nodes
 are canonical term strings (see :func:`assocnf.terms.render`), sorted, so
 reports and DOT exports are byte-stable.  Every edge goes to a larger word,
 that is, a larger index, so index order is a topological order and no
-search needs to find one.  :func:`verify_sn` checks that every edge ascends;
-every other search and check relies on it and raises ``ValueError`` on an
-edge that does not ascend.
+search needs to find one.  One sweep over the nodes in reverse order reads
+each edge once and gives every search and check: the longest and shortest
+distances, the sink count, and local confluence, which one AND per edge
+decides, so no pair of successors is compared.  :func:`verify_sn` checks
+that every edge goes to a larger index in range; every other search and
+check relies on it and raises ``ValueError`` on an edge that does not.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import combinations
 from operator import itemgetter
 
 # parse, measure, find_redexes and apply_at are unused here, but
@@ -78,18 +82,22 @@ class CapExceeded(ValueError):
     """Requested size is above the resource cap; pass ``cap=`` to override."""
 
 
-def _split(n: int, cap: int, leaf, join) -> list:
-    """Every shape of size ``n`` as an item, in split order.
+def _split(n: int, cap: int, leaf, join) -> Iterator[list]:
+    """Every shape of each size ``0..n`` as an item, in split order.
 
     Left subtree of size ``i``, right of size ``n-1-i``, so the count follows
     the Catalan recurrence.  ``join(left, rights, shift, m)`` gives the size-m
     items over ``left``, one per item of ``rights`` (words ``shift`` bits).
+    Yields each size's list as the recurrence completes it, so one run serves
+    every size.  A caller may reorder a yielded list in place: larger sizes
+    then come out in another split order, but hold the same items.
     """
     if n < 0:
         raise ValueError("shape size must be nonnegative")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds enumeration cap {cap}")
     by_size = [[leaf]]
+    yield by_size[0]
     for m in range(1, n + 1):
         items = []
         for i in range(m):
@@ -99,7 +107,7 @@ def _split(n: int, cap: int, leaf, join) -> list:
             for left in by_size[i]:
                 items += join(left, rights, shift, m)
         by_size.append(items)
-    return by_size[n]
+        yield items
 
 
 def _shapes(n: int, cap: int, leaf, node) -> list[tuple]:
@@ -113,7 +121,7 @@ def _shapes(n: int, cap: int, leaf, node) -> list[tuple]:
         high, lv = left[0] << shift, left[1]
         return [(high | rw, node(lv, rv)) for rw, rv in rights]
 
-    shapes = _split(n, cap, (1, leaf), join)
+    shapes = deque(_split(n, cap, (1, leaf), join), maxlen=1).pop()
     shapes.sort(key=itemgetter(0))
     return shapes
 
@@ -124,7 +132,8 @@ def _count(n: int, cap: int) -> int:
     Each item is one shared reference to a right-hand item, so a size's list
     holds one slot per shape.
     """
-    return len(_split(n, cap, None, lambda left, rights, shift, m: rights))
+    sizes = _split(n, cap, None, lambda left, rights, shift, m: rights)
+    return len(deque(sizes, maxlen=1).pop())
 
 
 def enumerate_shapes(n: int, cap: int = ENUMERATION_CAP) -> list[Term]:
@@ -132,16 +141,23 @@ def enumerate_shapes(n: int, cap: int = ENUMERATION_CAP) -> list[Term]:
     return [t for _, t in _shapes(n, cap, Leaf(None), Node)]
 
 
+# The sweep's results: the sink count, whether every one-step divergence is
+# joinable, and each node's longest and shortest distance to a sink.
+_Sweep = namedtuple("_Sweep", "sink_count joinable longest shortest")
+
+
 class RewriteGraph(namedtuple("RewriteGraph", "n nodes targets")):
     """Single-step rewrite graph over canonical term strings.
 
     ``targets[i]`` holds the indices into ``nodes`` of node ``i``'s
-    successors, ascending, and every one is larger than ``i``: the searches
-    run over the nodes in reverse index order, and raise ``ValueError`` on
-    a graph that breaks this.  A node's successors as texts are
-    ``[nodes[v] for v in targets[i]]``.  Graphs are not changed once built,
-    so searches are computed once.  No ``__slots__``: the cached searches
-    live in the instance ``__dict__``.
+    successors, ascending, and every one is larger than ``i``.  One sweep
+    over the nodes in reverse index order, each after its successors, reads
+    every edge once and gives every search and check; it stops at an edge
+    that does not go to a larger index in range, and the searches then raise
+    ``ValueError``.  A node's successors as texts are ``[nodes[v] for v in
+    targets[i]]``.  Graphs are not changed once built, so the sweep runs
+    once.  No ``__slots__``: the cached sweep lives in the instance
+    ``__dict__``.
     """
 
     @property
@@ -152,39 +168,47 @@ class RewriteGraph(namedtuple("RewriteGraph", "n nodes targets")):
         return [u for u, vs in zip(self.nodes, self.targets) if not vs]
 
     @cached_property
-    def _ascends(self) -> bool:
-        """Every edge goes to a larger index, so index order is topological.
+    def _sweep(self) -> _Sweep | None:
+        """Every search and check in one reverse pass; None on a bad edge.
 
-        Reads every edge: a hand-built graph's target tuples need not be
-        sorted.
+        A node's reachable sinks are a bitmask, one bit per sink, the OR of
+        its successors'.  If they share a sink, the AND of their masks, every
+        one-step divergence from the node joins there.  On an acyclic graph
+        that is also necessary: were every divergence joinable, each node
+        would reach one sink only (Newman's lemma), and a node whose
+        successors share none reaches two.  So no pair of successors is ever
+        compared.  A hand-built graph's target tuples need not be sorted, so
+        each edge is checked.
         """
-        return all(u < v for u, vs in enumerate(self.targets) for v in vs)
+        targets = self.targets
+        count = len(targets)
+        reach, longest, shortest = [0] * count, [0] * count, [0] * count
+        joinable, bit = True, 1
+        for u in range(count - 1, -1, -1):
+            vs = targets[u]
+            if not vs:
+                reach[u] = bit
+                bit <<= 1
+                continue
+            some, every = 0, -1
+            for v in vs:
+                if not u < v < count:
+                    return None
+                some |= reach[v]
+                every &= reach[v]
+            reach[u] = some
+            if not every:
+                joinable = False
+            longest[u] = 1 + max(map(longest.__getitem__, vs))
+            shortest[u] = 1 + min(map(shortest.__getitem__, vs))
+        return _Sweep(bit.bit_length() - 1, joinable, longest, shortest)
 
     @property
-    def _reverse_order(self) -> range:
-        """Each node after its successors; the one place a bad edge raises."""
-        if not self._ascends:
+    def _checked(self) -> _Sweep:
+        """The sweep; the one place a bad edge raises."""
+        if (sweep := self._sweep) is None:
             raise ValueError("the rewrite graph has an edge that does not ascend")
-        return range(len(self.targets) - 1, -1, -1)
-
-    def _fold(self, pick) -> list[int]:
-        """Distance to a sink: 0 at sinks, else 1 + ``pick`` of the successors'."""
-        targets = self.targets
-        dist = [0] * len(targets)
-        for u in self._reverse_order:
-            if targets[u]:
-                dist[u] = 1 + pick(map(dist.__getitem__, targets[u]))
-        return dist
-
-    @cached_property
-    def _longest_distance(self) -> list[int]:
-        """Longest distance to a sink."""
-        return self._fold(max)
-
-    @cached_property
-    def _sink_distance(self) -> list[int]:
-        """Shortest distance to a sink."""
-        return self._fold(min)
+        return sweep
 
 
 def build_graph(n: int, cap: int = GRAPH_CAP) -> RewriteGraph:
@@ -209,7 +233,7 @@ def build_graph(n: int, cap: int = GRAPH_CAP) -> RewriteGraph:
             return [(high | rw, f"({lt}*{rt})", ra + ls, high) for rw, rt, ra, _ in rights]
         return [(high | rw, f"({lt}*{rt})", ra, ls) for rw, rt, ra, _ in rights]
 
-    shapes = _split(n, cap, (1, ".", (), ()), join)
+    shapes = deque(_split(n, cap, (1, ".", (), ()), join), maxlen=1).pop()
     shapes.sort(key=itemgetter(0))
     index = {s[0]: i for i, s in enumerate(shapes)}
     targets = tuple(
@@ -222,35 +246,20 @@ def verify_sn(g: RewriteGraph) -> bool:
     """Strong normalization: the node index rises along every edge.
 
     No rewrite sequence can then be longer than the node count, which is the
-    termination proof.  A graph with an edge to a smaller index gives False,
-    even without a cycle.
+    termination proof.  A graph with an edge to a smaller index, or to no
+    node at all, gives False, even without a cycle.
     """
-    return g._ascends
+    return g._sweep is not None
 
 
 def verify_wcr(g: RewriteGraph) -> bool:
     """Local confluence: every one-step divergence is joinable.
 
-    On an acyclic graph two nodes are joinable iff they share a reachable
-    sink, so one pass computes reachable-sink bitmasks (one bit per sink)
-    and each divergence is one ``&``.  Raises ``ValueError`` on an edge that
-    does not ascend.
+    On an acyclic graph that holds iff each node's successors share a
+    reachable sink, which the sweep reads off one AND per edge.  Raises
+    ``ValueError`` on an edge that does not ascend.
     """
-    targets = g.targets
-    sinks = [0] * len(targets)
-    bit = 1
-    for u in g._reverse_order:
-        if targets[u]:
-            mask = 0
-            for v in targets[u]:
-                mask |= sinks[v]
-            sinks[u] = mask
-        else:
-            sinks[u] = bit
-            bit <<= 1
-    return all(
-        sinks[x] & sinks[y] for vs in targets for x, y in combinations(vs, 2)
-    )
+    return g._checked.joinable
 
 
 def verify_unique_nf(g: RewriteGraph) -> bool:
@@ -258,18 +267,17 @@ def verify_unique_nf(g: RewriteGraph) -> bool:
 
     Raises ``ValueError`` on an edge that does not ascend.
     """
-    g._reverse_order  # raises on an edge that does not ascend
-    return len(g.sinks()) == 1
+    return g._checked.sink_count == 1
 
 
 def longest_paths(g: RewriteGraph) -> dict[str, int]:
     """Longest path length from each node to a sink."""
-    return dict(zip(g.nodes, g._longest_distance))
+    return dict(zip(g.nodes, g._checked.longest))
 
 
 def shortest_paths(g: RewriteGraph) -> dict[str, int]:
     """Shortest path length from each node to a sink."""
-    return dict(zip(g.nodes, g._sink_distance))
+    return dict(zip(g.nodes, g._checked.shortest))
 
 
 class TermRecord(namedtuple("TermRecord", "term size sigma d_rm longest shortest")):
@@ -302,9 +310,11 @@ class VerificationReport(
         )
 
 
-def _measures(left: tuple, right: tuple) -> tuple[int, int, int]:
-    """``(size, sigma, d_rm)`` of a node from those of its children."""
-    return left[0] + right[0] + 1, left[1] + right[1] + left[0], right[2] + 1
+def _join_measures(left, rights, shift, m):
+    """``_split``'s join for ``(word, size, sigma, d_rm)`` items."""
+    lw, size, sigma, _ = left
+    high, base = lw << shift, sigma + size
+    return [(high | rw, m, base + rs, rd + 1) for rw, _, rs, rd in rights]
 
 
 def verify_all(n_max: int, cap: int = GRAPH_CAP) -> list[VerificationReport]:
@@ -322,15 +332,19 @@ def verify_all(n_max: int, cap: int = GRAPH_CAP) -> list[VerificationReport]:
     # The first size over the cap, as build_graph would name it.
     if (over := max(cap + 1, 0)) <= n_max:
         raise CapExceeded(f"n={over} exceeds graph cap {cap}")
+    # One recurrence gives every size's measures, each list sorted in place
+    # into word order, as the graph's nodes are.
+    measures = _split(n_max, cap, (1, 0, 0, 0), _join_measures)
     reports = []
     for n in range(n_max + 1):
         g = build_graph(n, cap=cap)
-        # All four lists are in word order, so each shape meets its own node.
-        shapes = _shapes(n, cap, (0, 0, 0), _measures)
+        shapes = next(measures)
+        shapes.sort(key=itemgetter(0))
+        sweep = g._checked
         records = [
             TermRecord(key, size, sig, d_rm, longest, shortest)
-            for key, longest, shortest, (_, (size, sig, d_rm)) in zip(
-                g.nodes, g._longest_distance, g._sink_distance, shapes
+            for key, longest, shortest, (_, size, sig, d_rm) in zip(
+                g.nodes, sweep.longest, sweep.shortest, shapes
             )
         ]
         max_longest = max(r.longest for r in records)

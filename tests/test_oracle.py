@@ -1,5 +1,6 @@
 """Enumeration, rewrite graphs, and the graph-based verification oracles."""
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -245,9 +246,10 @@ def test_every_length_between_the_two_exact_answers(tamari_graphs):
     for n in range(1, 11):
         g = tamari_graphs[n]
         lengths = [0] * len(g.targets)
-        for u in g._reverse_order:
+        for u in reversed(range(len(g.targets))):
             bits = 0 if g.targets[u] else 1
             for v in g.targets[u]:
+                assert v > u
                 bits |= lengths[v] << 1
             lengths[u] = bits
         for text, bits in zip(g.nodes, lengths):
@@ -336,6 +338,60 @@ def test_wcr_rejects_unjoinable_divergence():
     assert not verify_wcr(g)
 
 
+def _pairwise_wcr(targets):
+    """Local confluence by definition: every pair of a node's successors
+    reaches a common sink."""
+    sinks = {}
+    for u in reversed(range(len(targets))):
+        sinks[u] = set().union(*(sinks[v] for v in targets[u])) or {u}
+    return all(
+        sinks[x] & sinks[y]
+        for vs in targets
+        for i, x in enumerate(vs)
+        for y in vs[i + 1 :]
+    )
+
+
+def _ascending_graphs(count):
+    """Every graph on ``count`` nodes whose edges all go to larger indices."""
+
+    def subsets(u):
+        later = range(u + 1, count)
+        return [vs for k in range(len(later) + 1) for vs in itertools.combinations(later, k)]
+
+    return itertools.product(*map(subsets, range(count)))
+
+
+def test_wcr_matches_the_pairwise_definition_on_every_small_graph():
+    # the check never compares a pair: on an acyclic graph a node whose
+    # successors share no sink always has some divergence that cannot join
+    seen = Counter()
+    for count in range(1, 6):
+        for targets in _ascending_graphs(count):
+            g = RewriteGraph(n=-1, nodes=tuple("abcde"[:count]), targets=targets)
+            assert verify_sn(g)
+            seen[verify_wcr(g)] += 1
+            assert verify_wcr(g) == _pairwise_wcr(targets), targets
+    assert seen[True] and seen[False]
+
+
+# Three successors b, c, d of a, reaching the sinks {e, f}, {f, g} and
+# {e, g}: every pair of them shares a sink, though no sink is common to all
+# three.  Yet b, c and d each diverge to two sinks, so the graph is not
+# locally confluent.
+PAIRWISE_TARGETS = ((1, 2, 3), (4, 5), (5, 6), (4, 6), (), (), ())
+
+
+@pytest.mark.parametrize("d", [(4, 6), (6,)])
+def test_wcr_rejects_successors_that_share_sinks_only_pairwise(d):
+    # with d -> g only, b and d share no sink either
+    targets = PAIRWISE_TARGETS[:3] + (d,) + PAIRWISE_TARGETS[4:]
+    g = RewriteGraph(n=-1, nodes=tuple("abcdefg"), targets=targets)
+    assert verify_sn(g)
+    assert not verify_wcr(g)
+    assert not _pairwise_wcr(targets)
+
+
 def test_wcr_rejects_cyclic_graphs():
     # cyclic, though the one divergence (b, c from a) is joinable at d
     g = RewriteGraph(
@@ -389,9 +445,10 @@ def test_longest_paths_reject_cycles():
         longest_paths(g)
 
 
-@pytest.mark.parametrize("targets", [((), (0,)), ((2,), (2, 0), ())])
+@pytest.mark.parametrize("targets", [((), (0,)), ((2,), (2, 0), ()), ((5,), ())])
 def test_acyclic_graphs_with_a_descending_edge_are_rejected(targets):
-    # no cycle, but an edge to a smaller index, first in its tuple or not
+    # no cycle, but an edge to a smaller index, first in its tuple or not, or
+    # a dangling edge to no node at all
     g = RewriteGraph(n=-1, nodes=("a", "b", "c")[: len(targets)], targets=targets)
     assert not verify_sn(g)
     for check in (longest_paths, shortest_paths, verify_wcr, verify_unique_nf):
