@@ -32,10 +32,12 @@ reports and DOT exports are byte-stable.  Every edge goes to a larger word,
 that is, a larger index, so index order is a topological order and no
 search needs to find one.  One sweep over the nodes in reverse order reads
 each edge once and gives every search and check: the longest and shortest
-distances, the sink count, and local confluence, which one AND per edge
-decides, so no pair of successors is compared.  :func:`verify_sn` checks
-that every edge goes to a larger index in range; every other search and
-check relies on it and raises ``ValueError`` on an edge that does not.
+distances, the sink count, and local confluence, which one sink label per
+node and one compare per edge decide, so no pair of successors is compared.
+The sweep takes O(nodes + edges) time and O(nodes) memory on every graph.
+:func:`verify_sn` checks that every edge goes to a larger index in range;
+every other search and check relies on it and raises ``ValueError`` on an
+edge that does not.
 """
 
 from __future__ import annotations
@@ -152,12 +154,13 @@ class RewriteGraph(namedtuple("RewriteGraph", "n nodes targets")):
     ``targets[i]`` holds the indices into ``nodes`` of node ``i``'s
     successors, ascending, and every one is larger than ``i``.  One sweep
     over the nodes in reverse index order, each after its successors, reads
-    every edge once and gives every search and check; it stops at an edge
-    that does not go to a larger index in range, and the searches then raise
-    ``ValueError``.  A node's successors as texts are ``[nodes[v] for v in
-    targets[i]]``.  Graphs are not changed once built, so the sweep runs
-    once.  No ``__slots__``: the cached sweep lives in the instance
-    ``__dict__``.
+    every edge once and gives every search and check, with one sink label
+    per node: O(nodes + edges) time and O(nodes) memory on every graph.  It
+    stops at an edge that does not go to a larger index in range, and the
+    searches then raise ``ValueError``.  A node's successors as texts are
+    ``[nodes[v] for v in targets[i]]``.  Graphs are not changed once built,
+    so the sweep runs once.  No ``__slots__``: the cached sweep lives in the
+    instance ``__dict__``.
     """
 
     @property
@@ -171,37 +174,37 @@ class RewriteGraph(namedtuple("RewriteGraph", "n nodes targets")):
     def _sweep(self) -> _Sweep | None:
         """Every search and check in one reverse pass; None on a bad edge.
 
-        A node's reachable sinks are a bitmask, one bit per sink, the OR of
-        its successors'.  If they share a sink, the AND of their masks, every
-        one-step divergence from the node joins there.  On an acyclic graph
-        that is also necessary: were every divergence joinable, each node
-        would reach one sink only (Newman's lemma), and a node whose
-        successors share none reaches two.  So no pair of successors is ever
-        compared.  A hand-built graph's target tuples need not be sorted, so
-        each edge is checked.
+        Each node carries one sink label: a sink its own, any other node its
+        first successor's.  The graph is locally confluent iff every
+        successor of every node carries the node's label.  If they do, each
+        node reaches only its label's sink, by induction from the sinks, and
+        every one-step divergence joins there.  On an acyclic graph that is
+        also necessary: were every divergence joinable, each node would reach
+        one sink only (Newman's lemma), the one its label names.  So no pair
+        of successors is ever compared, and the pass takes O(nodes + edges)
+        time and O(nodes) memory.  A hand-built graph's target tuples need
+        not be sorted, so each edge is checked before its target's label is
+        read: a negative index would read one without an error.
         """
         targets = self.targets
         count = len(targets)
-        reach, longest, shortest = [0] * count, [0] * count, [0] * count
-        joinable, bit = True, 1
+        label, longest, shortest = [0] * count, [0] * count, [0] * count
+        sinks, joinable = 0, True
         for u in range(count - 1, -1, -1):
             vs = targets[u]
             if not vs:
-                reach[u] = bit
-                bit <<= 1
+                label[u] = sinks
+                sinks += 1
                 continue
-            some, every = 0, -1
             for v in vs:
                 if not u < v < count:
                     return None
-                some |= reach[v]
-                every &= reach[v]
-            reach[u] = some
-            if not every:
-                joinable = False
+                if label[v] != label[vs[0]]:
+                    joinable = False
+            label[u] = label[vs[0]]
             longest[u] = 1 + max(map(longest.__getitem__, vs))
             shortest[u] = 1 + min(map(shortest.__getitem__, vs))
-        return _Sweep(bit.bit_length() - 1, joinable, longest, shortest)
+        return _Sweep(sinks, joinable, longest, shortest)
 
     @property
     def _checked(self) -> _Sweep:
@@ -255,8 +258,9 @@ def verify_sn(g: RewriteGraph) -> bool:
 def verify_wcr(g: RewriteGraph) -> bool:
     """Local confluence: every one-step divergence is joinable.
 
-    On an acyclic graph that holds iff each node's successors share a
-    reachable sink, which the sweep reads off one AND per edge.  Raises
+    On an acyclic graph that holds iff every node reaches exactly one sink,
+    which the sweep reads off one sink label per node and one compare per
+    edge, in O(nodes + edges) time and O(nodes) memory.  Raises
     ``ValueError`` on an edge that does not ascend.
     """
     return g._checked.joinable

@@ -16,6 +16,7 @@ import pytest
 
 from assocnf.cli import main
 from assocnf.oracle import (
+    RewriteGraph,
     build_graph,
     enumerate_shapes,
     longest_paths,
@@ -529,6 +530,33 @@ def test_verify_all_peak_keeps_no_pile_of_measures():
     ratio = _peak_bytes(verify_all, 10) / _peak_bytes(build_graph, 10)
     assert ratio <= 1.05 * VERIFY_ALL_PEAK_REFERENCE, round(ratio, 3)
     print(f"PASS verify peak gate: verify_all(10) peaks at {ratio:.2f}x build_graph(10)")
+
+
+def _comb_graph(s):
+    """``s`` spine nodes, each with an edge to the next (the last one's to a
+    final sink) and one to a sink of its own: ``2s + 1`` nodes, ``s + 1``
+    sinks, and every spine node reaches all the sinks after it."""
+    targets = []
+    for i in range(s):
+        targets += [(2 * i + 1, 2 * i + 2), ()]
+    targets.append(())
+    return RewriteGraph(n=-1, nodes=tuple(map(str, range(2 * s + 1))), targets=tuple(targets))
+
+
+@pytest.mark.parametrize("s", [2_000, 8_000])
+def test_sweep_peak_is_linear_with_many_sinks(s):
+    # one sink label per node, not one bit per reachable sink: a set of
+    # sinks per node would cost O(nodes * sinks) here; each call sweeps a
+    # fresh copy, since a graph caches its sweep
+    g = _comb_graph(s)
+    sweep = g._sweep
+    assert (sweep.sink_count, sweep.joinable, sweep.longest[0]) == (s + 1, False, s)
+    per_node = _peak_bytes(lambda g: RewriteGraph(*g)._sweep, g) / len(g.nodes)
+    assert per_node <= 64, round(per_node, 1)
+    print(
+        f"PASS sweep peak gate: a comb of {s} spine nodes and {s + 1} sinks "
+        f"sweeps at {per_node:.1f} B/node"
+    )
 
 
 def test_criterion_8_enumeration_matches_catalan_recurrence():

@@ -4,9 +4,11 @@ import itertools
 import json
 import random
 from collections import Counter
+from functools import cache
 from math import comb, factorial, prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from assocnf.oracle import (
     ENUMERATION_CAP,
@@ -187,6 +189,35 @@ def test_shortest_distances_are_the_ballot_numbers(tamari_graphs):
             assert rem == 0
             expected[n - k] = count
         assert Counter(shortest_paths(g).values()) == expected, n
+
+
+def _q_catalan(n_max):
+    """The q-Catalan polynomials C_0..C_n_max as coefficient lists, by their
+    own recurrence: C_0 = 1, C_(m+1)(q) = sum_k q^((k+1)(m-k)) C_k(q) C_(m-k)(q).
+    """
+    rows = [[1]]
+    for m in range(n_max):
+        row = [0] * (m * (m + 1) // 2 + 1)
+        for k in range(m + 1):
+            shift = (k + 1) * (m - k)
+            for i, a in enumerate(rows[k]):
+                for j, b in enumerate(rows[m - k]):
+                    row[shift + i + j] += a * b
+        rows.append(row)
+    return rows
+
+
+def test_longest_distances_are_the_q_catalan_numbers(tamari_graphs):
+    # shapes at longest distance k: the coefficient of q^(n(n-1)/2 - k) in
+    # C_n(q), a closed form the sweep does not compute
+    rows = _q_catalan(11)
+    assert rows[3] == [1, 1, 2, 1]
+    assert [sum(row) for row in rows] == catalan_counts(11)
+    graphs = {0: build_graph(0)} | tamari_graphs
+    for n, g in graphs.items():
+        top = n * (n - 1) // 2
+        expected = {top - e: count for e, count in enumerate(rows[n]) if count}
+        assert Counter(longest_paths(g).values()) == expected, n
 
 
 def _shifted_staircase_tableaux(n):
@@ -373,6 +404,42 @@ def test_wcr_matches_the_pairwise_definition_on_every_small_graph():
             seen[verify_wcr(g)] += 1
             assert verify_wcr(g) == _pairwise_wcr(targets), targets
     assert seen[True] and seen[False]
+
+
+@st.composite
+def multi_sink_graphs(draw):
+    """Hand-built targets for 1 to 40 nodes whose edges all ascend: up to
+    four successors per node, in any order, as a tuple or a list, so most
+    graphs have several sinks."""
+    count = draw(st.integers(1, 40))
+    targets = [
+        draw(st.sampled_from([tuple, list]))(
+            draw(st.lists(st.integers(u + 1, count - 1), unique=True, max_size=4))
+        )
+        for u in range(count - 1)
+    ]
+    return tuple(targets) + ((),)
+
+
+def _distances(targets, pick):
+    """Each node's distance to a sink by definition: 0 at a sink, else one
+    more than ``pick`` of its successors' distances."""
+
+    @cache
+    def distance(u):
+        return 1 + pick(map(distance, targets[u])) if targets[u] else 0
+
+    return [distance(u) for u in range(len(targets))]
+
+
+@given(multi_sink_graphs())
+def test_oracles_match_their_definitions_on_random_graphs(targets):
+    g = RewriteGraph(n=-1, nodes=tuple(map(str, range(len(targets)))), targets=targets)
+    assert verify_sn(g)
+    assert verify_wcr(g) == _pairwise_wcr(targets)
+    assert verify_unique_nf(g) == (sum(not vs for vs in targets) == 1)
+    assert list(longest_paths(g).values()) == _distances(targets, max)
+    assert list(shortest_paths(g).values()) == _distances(targets, min)
 
 
 # Three successors b, c, d of a, reaching the sinks {e, f}, {f, g} and
