@@ -223,7 +223,8 @@ def build_graph(n: int, cap: int = GRAPH_CAP) -> RewriteGraph:
     ``2**bits(r)``, and one inside ``l`` adds a left-left subtree, which never
     holds the last leaf of its ``x`` or ``y``, so it is below the root's.
     """
-    if n > cap:
+    # A negative size is _split's error, whatever the cap.
+    if n > cap and n >= 0:
         raise CapExceeded(f"n={n} exceeds graph cap {cap}")
 
     # Below n a shape is (word, text, amounts, root amount as a left child,
@@ -302,13 +303,20 @@ class VerificationReport(
     __slots__ = ()
 
     @property
+    def _checks(self) -> tuple[bool, ...]:
+        """The five check flags, in the table's column order."""
+        return (
+            self.sn_ok,
+            self.wcr_ok,
+            self.unique_nf_ok,
+            self.longest_matches_sigma,
+            self.shortest_matches_formula,
+        )
+
+    @property
     def passed(self) -> bool:
         return (
-            self.sn_ok
-            and self.wcr_ok
-            and self.unique_nf_ok
-            and self.longest_matches_sigma
-            and self.shortest_matches_formula
+            all(self._checks)
             and self.max_longest == self.n * (self.n - 1) // 2
             and render(left_chain(self.n)) in self.max_attained_by
         )
@@ -372,26 +380,18 @@ def verify_all(n_max: int, cap: int = GRAPH_CAP) -> list[VerificationReport]:
     return reports
 
 
-def _flag(ok: bool) -> str:
-    return "ok" if ok else "FAIL"
+# One line of verify's table, the header's and every report's.
+_ROW = "{:>3} {:>8} {:>4} {:>4} {:>9} {:>7} {:>8} {:>11} {:>6}\n"
 
 
 def report_table(reports: list[VerificationReport]) -> str:
     """Human-readable per-size table, one row per report."""
-    header = (
-        f"{'n':>3} {'shapes':>8} {'sn':>4} {'wcr':>4} {'unique_nf':>9} "
-        f"{'longest':>7} {'shortest':>8} {'max_longest':>11} {'result':>6}"
-    )
-    lines = [header]
+    rows = [_ROW.format(*"n shapes sn wcr unique_nf longest shortest max_longest result".split())]
     for r in reports:
-        lines.append(
-            f"{r.n:>3} {len(r.records):>8} {_flag(r.sn_ok):>4} "
-            f"{_flag(r.wcr_ok):>4} {_flag(r.unique_nf_ok):>9} "
-            f"{_flag(r.longest_matches_sigma):>7} "
-            f"{_flag(r.shortest_matches_formula):>8} "
-            f"{r.max_longest:>11} {'PASS' if r.passed else 'FAIL':>6}"
-        )
-    return "\n".join(lines) + "\n"
+        flags = ["ok" if ok else "FAIL" for ok in r._checks]
+        result = "PASS" if r.passed else "FAIL"
+        rows.append(_ROW.format(r.n, len(r.records), *flags, r.max_longest, result))
+    return "".join(rows)
 
 
 def records_jsonl(reports: list[VerificationReport]) -> Iterator[str]:

@@ -257,8 +257,8 @@ def render(t: Term) -> str:
         out.append("*")
 
 
-def _size_sigma(t: Term) -> tuple[int, int, int]:
-    """``(size(t), sigma(t), depth_rightmost(t))`` in one walk.
+def measure(t: Term) -> Metrics:
+    """All measures of ``t`` in one record, from one walk.
 
     Every internal node is credited once per ancestor that holds it in a
     left subtree.  The walk runs down right spines, where that count is
@@ -279,12 +279,12 @@ def _size_sigma(t: Term) -> tuple[int, int, int]:
             x = x.right
         if d_rm < 0:
             d_rm = count
-    return count, total, d_rm
+    return Metrics(size=count, sigma=total, d_rm=d_rm, is_nf=d_rm == count)
 
 
 def size(t: Term) -> int:
     """Number of internal nodes."""
-    return _size_sigma(t)[0]
+    return measure(t).size
 
 
 def sigma(t: Term) -> int:
@@ -293,7 +293,7 @@ def sigma(t: Term) -> int:
     Equivalently: 0 for a leaf, else ``sigma(left) + sigma(right) +
     size(left)``.
     """
-    return _size_sigma(t)[1]
+    return measure(t).sigma
 
 
 def depth_rightmost(t: Term) -> int:
@@ -338,9 +338,3 @@ def right_chain(n: int) -> Term:
     for _ in range(n):
         t = Node(leaf, t)
     return t
-
-
-def measure(t: Term) -> Metrics:
-    """All measures of ``t`` in one record, from one walk."""
-    count, total, d_rm = _size_sigma(t)
-    return Metrics(size=count, sigma=total, d_rm=d_rm, is_nf=d_rm == count)

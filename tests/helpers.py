@@ -3,6 +3,8 @@
 The measures and shapes here are written as the plainest possible recursion
 or recurrence, independent of the library's iterative implementations, so
 tests can compare the two sides; they are only meant for small terms.
+``sigma_counts`` and ``ballot_counts`` count shapes by ``sigma`` and by
+``d_rm`` with closed forms that the library does not compute.
 ``scan_successors`` reads each word's rotations bit by bit, the reference for
 the oracle's recurrence.  The reference strategies replay each step the slow,
 obvious way.  The relabelling copies and the large shape generators at the end
@@ -10,7 +12,7 @@ are iterative.
 """
 
 from itertools import count
-from math import isqrt
+from math import comb, isqrt
 
 from assocnf.rewrite import apply_at, find_redexes
 from assocnf.terms import Leaf, Node, left_chain
@@ -21,6 +23,44 @@ def catalan_counts(n_max):
     counts = [1]
     for n in range(1, n_max + 1):
         counts.append(sum(counts[i] * counts[n - 1 - i] for i in range(n)))
+    return counts
+
+
+def q_catalan(n_max):
+    """The q-Catalan polynomials C_0..C_n_max as coefficient lists, by their
+    own recurrence: C_0 = 1, C_(m+1)(q) = sum_k q^((k+1)(m-k)) C_k(q) C_(m-k)(q).
+    """
+    rows = [[1]]
+    for m in range(n_max):
+        row = [0] * (m * (m + 1) // 2 + 1)
+        for k in range(m + 1):
+            shift = (k + 1) * (m - k)
+            for i, a in enumerate(rows[k]):
+                for j, b in enumerate(rows[m - k]):
+                    row[shift + i + j] += a * b
+        rows.append(row)
+    return rows
+
+
+def sigma_counts(n):
+    """The number of shapes of size ``n`` with ``sigma = k``, as ``{k: count}``:
+    the coefficient of q^(n(n-1)/2 - k) in the q-Catalan polynomial C_n(q)."""
+    top = n * (n - 1) // 2
+    return {top - e: count for e, count in enumerate(q_catalan(n)[n]) if count}
+
+
+def ballot_counts(n):
+    """The number of shapes of size ``n`` with ``d_rm = d``, as ``{d: count}``.
+
+    For n >= 1 they are the ballot numbers d/(2n-d) C(2n-d, n), d = 1..n; the
+    leaf is the one shape of size 0.
+    """
+    if n == 0:
+        return {0: 1}
+    counts = {}
+    for d in range(1, n + 1):
+        counts[d], rem = divmod(d * comb(2 * n - d, n), 2 * n - d)
+        assert rem == 0
     return counts
 
 
@@ -84,6 +124,23 @@ def off_spine_first_leaves(t):
 
     walk(t, 0, True)
     return counts
+
+
+def first_leaves(t):
+    """``lo`` of ``t``: for each node in in-order, the index of the first leaf
+    of its subtree, leaves counted from 0 left to right."""
+    lo = []
+
+    def walk(x, first):
+        """Append ``lo`` of ``x``'s nodes; return its leaf count."""
+        if isinstance(x, Leaf):
+            return 1
+        leaves = walk(x.left, first)
+        lo.append(first)
+        return leaves + walk(x.right, first + leaves)
+
+    walk(t, 0)
+    return lo
 
 
 def subterm_at(t, path):

@@ -219,10 +219,12 @@ def test_enumerate_cap_exceeded(capsys):
 
 
 def test_enumerate_negative_size_exits_2(capsys):
-    code, out, err = run(capsys, "enumerate", "-1")
-    assert code == 2
-    assert out == ""
-    assert err == "error: shape size must be nonnegative\n"
+    # the sign is checked before the cap, whatever the cap
+    for cap in ((), ("--cap", "-5")):
+        code, out, err = run(capsys, "enumerate", "-1", *cap)
+        assert code == 2
+        assert out == ""
+        assert err == "error: shape size must be nonnegative\n"
 
 
 def test_verify_passes(capsys):
@@ -424,10 +426,12 @@ def test_verify_cap_exceeded(capsys, args, named, cap):
 
 
 def test_graph_negative_size_exits_2(capsys):
-    code, out, err = run(capsys, "graph", "-1")
-    assert code == 2
-    assert out == ""
-    assert err == "error: shape size must be nonnegative\n"
+    # the sign is checked before the cap, whatever the cap
+    for cap in ((), ("--cap", "-5")):
+        code, out, err = run(capsys, "graph", "-1", *cap)
+        assert code == 2
+        assert out == ""
+        assert err == "error: shape size must be nonnegative\n"
 
 
 def _env():

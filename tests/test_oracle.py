@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from functools import cache
 from math import comb, factorial, prod
+from operator import le
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,7 +29,9 @@ from assocnf.oracle import (
     verify_unique_nf,
     verify_wcr,
     _count,
+    _join_measures,
     _shapes,
+    _split,
 )
 from assocnf.rewrite import apply_at, find_redexes
 from assocnf.terms import (
@@ -42,7 +45,16 @@ from assocnf.terms import (
     size,
 )
 
-from helpers import catalan_counts, preorder_word, random_shape, scan_successors
+from helpers import (
+    ballot_counts,
+    catalan_counts,
+    first_leaves,
+    preorder_word,
+    q_catalan,
+    random_shape,
+    scan_successors,
+    sigma_counts,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -181,43 +193,31 @@ def test_out_degrees_are_the_narayana_numbers(tamari_graphs):
 
 
 def test_shortest_distances_are_the_ballot_numbers(tamari_graphs):
-    # shapes at distance n-k from the sink: k/(2n-k) C(2n-k, n)
+    # shapes at distance n-d from the sink: d/(2n-d) C(2n-d, n)
     for n, g in tamari_graphs.items():
-        expected = {}
-        for k in range(1, n + 1):
-            count, rem = divmod(k * comb(2 * n - k, n), 2 * n - k)
-            assert rem == 0
-            expected[n - k] = count
+        expected = {n - d: count for d, count in ballot_counts(n).items()}
         assert Counter(shortest_paths(g).values()) == expected, n
-
-
-def _q_catalan(n_max):
-    """The q-Catalan polynomials C_0..C_n_max as coefficient lists, by their
-    own recurrence: C_0 = 1, C_(m+1)(q) = sum_k q^((k+1)(m-k)) C_k(q) C_(m-k)(q).
-    """
-    rows = [[1]]
-    for m in range(n_max):
-        row = [0] * (m * (m + 1) // 2 + 1)
-        for k in range(m + 1):
-            shift = (k + 1) * (m - k)
-            for i, a in enumerate(rows[k]):
-                for j, b in enumerate(rows[m - k]):
-                    row[shift + i + j] += a * b
-        rows.append(row)
-    return rows
 
 
 def test_longest_distances_are_the_q_catalan_numbers(tamari_graphs):
     # shapes at longest distance k: the coefficient of q^(n(n-1)/2 - k) in
     # C_n(q), a closed form the sweep does not compute
-    rows = _q_catalan(11)
+    rows = q_catalan(11)
     assert rows[3] == [1, 1, 2, 1]
     assert [sum(row) for row in rows] == catalan_counts(11)
     graphs = {0: build_graph(0)} | tamari_graphs
     for n, g in graphs.items():
-        top = n * (n - 1) // 2
-        expected = {top - e: count for e, count in enumerate(rows[n]) if count}
-        assert Counter(longest_paths(g).values()) == expected, n
+        assert Counter(longest_paths(g).values()) == sigma_counts(n), n
+
+
+def test_measures_past_the_graph_cap_are_the_closed_forms():
+    # the measures recurrence verify_all runs, to one size past the graph
+    # cap; CI checks n = 14, the enumeration cap
+    assert [ballot_counts(n) for n in range(3)] == [{0: 1}, {1: 1}, {1: 1, 2: 1}]
+    assert sigma_counts(3) == {3: 1, 2: 1, 1: 2, 0: 1}
+    for n, shapes in enumerate(_split(13, ENUMERATION_CAP, (1, 0, 0, 0), _join_measures)):
+        assert Counter(sig for _, _, sig, _ in shapes) == sigma_counts(n), n
+        assert Counter(d_rm for _, _, _, d_rm in shapes) == ballot_counts(n), n
 
 
 def _shifted_staircase_tableaux(n):
@@ -253,22 +253,40 @@ def _tamari_intervals(n):
     return 2 * factorial(4 * n + 1) // (factorial(n + 1) * factorial(3 * n + 2))
 
 
+def _reach_bitsets(g):
+    """Bit ``v`` of entry ``u`` is set iff node ``u`` reaches node ``v``, itself
+    included.
+
+    A rotation adds to the word, so targets come later and a reverse sweep
+    is reverse-topological.
+    """
+    below = [0] * len(g.targets)
+    for u in reversed(range(len(g.targets))):
+        r = 1 << u
+        for v in g.targets[u]:
+            assert v > u
+            r |= below[v]
+        below[u] = r
+    return below
+
+
 def test_reachable_pairs_are_the_tamari_intervals(tamari_graphs):
     expected = [1, 1, 3, 13, 68, 399, 2530, 16965, 118668, 857956, 6369883]
     assert [_tamari_intervals(n) for n in range(11)] == expected
     graphs = {0: build_graph(0)} | {n: tamari_graphs[n] for n in range(1, 11)}
     for n, g in graphs.items():
-        # a rotation adds to the word, so targets come later and a reverse
-        # sweep is reverse-topological; below[u] is the bitset of the nodes
-        # u reaches, itself included
-        below = [0] * len(g.targets)
-        for u in reversed(range(len(g.targets))):
-            r = 1 << u
-            for v in g.targets[u]:
-                assert v > u
-                r |= below[v]
-            below[u] = r
-        assert sum(r.bit_count() for r in below) == expected[n], n
+        assert sum(r.bit_count() for r in _reach_bitsets(g)) == expected[n], n
+
+
+def test_the_rewrite_order_is_the_first_leaf_order(tamari_graphs):
+    # s rewrites to t iff lo_s[i] <= lo_t[i] for every in-order node i, where
+    # lo[i] is the index of node i's first leaf; checked on every ordered pair
+    graphs = {0: build_graph(0)} | {n: tamari_graphs[n] for n in range(1, 8)}
+    for g in graphs.values():
+        los = [first_leaves(parse(text)) for text in g.nodes]
+        for text, lo_s, reach in zip(g.nodes, los, _reach_bitsets(g)):
+            by_lo = sum(1 << t for t, lo_t in enumerate(los) if all(map(le, lo_s, lo_t)))
+            assert by_lo == reach, text
 
 
 def test_every_length_between_the_two_exact_answers(tamari_graphs):
@@ -311,8 +329,10 @@ def test_verify_all_checks_the_cap_before_building(monkeypatch, n_max, cap, name
 @pytest.mark.parametrize("build", [enumerate_shapes, build_graph, verify_all])
 def test_negative_sizes_are_rejected(build):
     # an empty report list for verify_all would pass vacuously
-    with pytest.raises(ValueError, match="shape size must be nonnegative"):
-        build(-2)
+    # the sign is checked before the cap, whatever the cap
+    for kwargs in ({}, {"cap": -5}):
+        with pytest.raises(ValueError, match="shape size must be nonnegative"):
+            build(-2, **kwargs)
 
 
 # ---------------------------------------------------------------------------
