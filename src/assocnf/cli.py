@@ -1,9 +1,13 @@
 """Command-line interface: normalize, trace, measure, enumerate, verify, graph.
 
 Exit codes: 0 on success (and all checks passing), 1 when ``verify`` finds a
-failing report, 2 on usage, term-syntax and file errors, with one ``error:``
-line and no traceback.  Stdout carries data only; diagnostics go to stderr.
-Identical invocations print identical bytes.
+failing report, 2 on every error, never with a traceback.  Argparse's syntax
+errors (an unknown flag, a bad choice, a missing ``--max-n``) print its usage
+line and an error line.  Every other refusal is a command's own ``ValueError``
+or ``OSError`` (a malformed term, a size below zero or above its cap, ``nf``
+with no term or with both a term and ``--file``, a file that cannot be read
+or written) and prints one ``error:`` line.  Stdout carries data only;
+diagnostics go to stderr.  Identical invocations print identical bytes.
 
 The commands are declared once, in ``_COMMANDS``.  ``_read`` takes argv of
 the plain form: a command name, then that command's exact long flags, each
@@ -38,6 +42,9 @@ __all__ = ["main"]
 
 
 def _cmd_nf(args: SimpleNamespace) -> int:
+    # Checked before any file is opened.
+    if (args.term is None) == (args.file is None):
+        raise ValueError("nf needs a term argument or --file, not both")
     if args.file is None:
         terms = [parse(args.term)]
     else:
@@ -270,16 +277,15 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _read(argv)
     if args is None:
+        # Argparse exits 2 itself, with its usage line, on a syntax error.
         args = _build_parser().parse_args(argv, SimpleNamespace())
-    if args.command == "nf" and (args.term is None) == (args.file is None):
-        _build_parser().error("nf needs a term argument or --file, not both")
-    if args.command == "verify" and args.max_n < 0:
-        _build_parser().error("--max-n must be nonnegative")
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:
-        # ParseError, CapExceeded, a negative size and undecodable --file
-        # text are all ValueErrors; OSError is a file that cannot be opened.
+        # Every refusal after parsing, each one line: ParseError,
+        # CapExceeded, a negative size, nf's inputs and undecodable --file
+        # text are ValueErrors; OSError is a file that cannot be opened or
+        # written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

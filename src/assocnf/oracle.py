@@ -84,6 +84,14 @@ class CapExceeded(ValueError):
     """Requested size is above the resource cap; pass ``cap=`` to override."""
 
 
+def _check_size(n: int, cap: int, kind: str) -> None:
+    """Refuse a negative ``n`` whatever the cap, then an ``n`` above ``cap``."""
+    if n < 0:
+        raise ValueError("shape size must be nonnegative")
+    if n > cap:
+        raise CapExceeded(f"n={n} exceeds {kind} cap {cap}")
+
+
 def _split(n: int, cap: int, leaf, join) -> Iterator[list]:
     """Every shape of each size ``0..n`` as an item, in split order.
 
@@ -94,10 +102,7 @@ def _split(n: int, cap: int, leaf, join) -> Iterator[list]:
     every size.  A caller may reorder a yielded list in place: larger sizes
     then come out in another split order, but hold the same items.
     """
-    if n < 0:
-        raise ValueError("shape size must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds enumeration cap {cap}")
+    _check_size(n, cap, "enumeration")
     by_size = [[leaf]]
     yield by_size[0]
     for m in range(1, n + 1):
@@ -223,9 +228,7 @@ def build_graph(n: int, cap: int = GRAPH_CAP) -> RewriteGraph:
     ``2**bits(r)``, and one inside ``l`` adds a left-left subtree, which never
     holds the last leaf of its ``x`` or ``y``, so it is below the root's.
     """
-    # A negative size is _split's error, whatever the cap.
-    if n > cap and n >= 0:
-        raise CapExceeded(f"n={n} exceeds graph cap {cap}")
+    _check_size(n, cap, "graph")
 
     # Below n a shape is (word, text, amounts, root amount as a left child,
     # unshifted; () for the leaf); at n, amounts stay as r's and l's shifted.
@@ -339,11 +342,9 @@ def verify_all(n_max: int, cap: int = GRAPH_CAP) -> list[VerificationReport]:
     :class:`CapExceeded` before building any graph if a size above ``cap``
     is asked for.
     """
-    if n_max < 0:
-        raise ValueError("shape size must be nonnegative")
-    # The first size over the cap, as build_graph would name it.
-    if (over := max(cap + 1, 0)) <= n_max:
-        raise CapExceeded(f"n={over} exceeds graph cap {cap}")
+    # Sizes 0..n_max hold one over the cap iff the first one over it,
+    # the size build_graph would name, is at most n_max.
+    _check_size(min(n_max, max(cap + 1, 0)), cap, "graph")
     # One recurrence gives every size's measures, each list sorted in place
     # into word order, as the graph's nodes are.
     measures = _split(n_max, cap, (1, 0, 0, 0), _join_measures)

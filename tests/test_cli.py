@@ -88,18 +88,18 @@ def test_nf_undecodable_file_exits_2(tmp_path, capsys):
     assert "not UTF-8" in err
 
 
-def test_nf_requires_exactly_one_input(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["nf"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["nf", "a", "--file", "x"])
-    assert exc.value.code == 2
+def test_nf_requires_exactly_one_input(tmp_path, capsys):
+    # The missing path shows that the rule runs before the file is opened.
+    for argv in (["nf"], ["nf", "a", "--file", str(tmp_path / "missing.txt")]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: nf needs a term argument or --file, not both\n"
 
 
 def test_usage_error_leaves_the_parser_unchanged(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--max-n", "-1"])
+        cli.main(["trace", "--strategy", "fastest", "a"])
     assert exc.value.code == 2
     capsys.readouterr()
     after_error = run(capsys, "trace", "--strategy", "longest", "(((a*b)*c)*d)")
@@ -367,13 +367,11 @@ def test_nf_and_trace_output_bytes_are_pinned(capsys):
         assert _sha256(out) == digest, strategy
 
 
-def test_verify_negative_max_n_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--max-n", "-1"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: --max-n must be nonnegative" in captured.err
+def test_verify_negative_max_n_is_one_error_line(capsys):
+    code, out, err = run(capsys, "verify", "--max-n", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: shape size must be nonnegative\n"
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
@@ -432,6 +430,48 @@ def test_graph_negative_size_exits_2(capsys):
         assert code == 2
         assert out == ""
         assert err == "error: shape size must be nonnegative\n"
+
+
+_NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+_HUGE = "1" + "0" * 19  # 20 digits
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--max-n", "-1"), "shape size must be nonnegative"),
+        (("nf",), "nf needs a term argument or --file, not both"),
+        (("nf", "a", "--file", "{tmp}/missing.txt"), "nf needs a term argument or --file, not both"),
+        pytest.param(("graph", "9", "--out", "/dev/full"), "[Errno 28]", marks=_NO_DEV_FULL),
+        pytest.param(
+            ("verify", "--max-n", "5", "--records", "/dev/full"), "[Errno 28]", marks=_NO_DEV_FULL
+        ),
+        (("nf", "--file", "{tmp}"), "[Errno 21]"),
+        (("enumerate", _HUGE), f"n={_HUGE} exceeds enumeration cap 14"),
+        (("graph", _HUGE), f"n={_HUGE} exceeds graph cap 12"),
+        (("verify", "--max-n", _HUGE), "n=13 exceeds graph cap 12"),
+        (("enumerate", "3", "--cap", "-1"), "n=3 exceeds enumeration cap -1"),
+        (("nf", "(A*b)"), "expected a term, found 'A' at byte 1"),
+    ],
+)
+def test_every_refusal_is_one_error_line(tmp_path, capsys, argv, message):
+    # Exit 2, nothing on stdout, one stderr line, no traceback.
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert message in err
+
+
+def test_argparse_syntax_error_is_usage_and_one_error_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["trace", "--strategy", "fastest", "a"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: assocnf trace ")
+    assert error.startswith("assocnf trace: error: argument --strategy: invalid choice")
 
 
 def _env():
