@@ -151,67 +151,66 @@ def parse(text: str) -> Term:
     """Parse canonical term text: ``T ::= LEAF | "(" T "*" T ")"``.
 
     Leaves are ``.`` (unlabeled) or a nonempty run of ``[a-z0-9_]``.
-    Whitespace between tokens is ignored.  Raises :class:`ParseError` with a
-    byte offset on malformed input.  Nesting depth is unbounded.
+    Whitespace between tokens is ignored.  Nesting depth is unbounded.
+    Malformed input raises :class:`ParseError` for one of three faults: a
+    term was expected, ``*`` or ``)`` was expected after a term, or input
+    trails a whole term.  Its offset is that of the first character that
+    cannot continue the text, or ``len(text)`` when the text ends too soon.
     """
     n = len(text)
+    # Canonical text has no whitespace, so most calls never look for it.
+    ws = any(c in text for c in _WS)
     # i is also the byte offset: i only ever passes ASCII characters, and
     # the first non-ASCII one is a fault.
     i = 0
     # Stack entries: _OPEN for an open paren awaiting its left child, or the
     # completed left child Term awaiting '*' right ')'.
     stack: list = []
-    # One Leaf per distinct label (None for '.'): terms are immutable, so
-    # equal leaves can be one object, and a chain over one label builds one.
-    leaves: dict[str | None, Leaf] = {}
+    # One Leaf per distinct leaf text: terms are immutable, so equal leaves
+    # can be one object, and a chain over one label builds one.
+    leaves: dict[str, Leaf] = {}
     while True:
-        while i < n and text[i] in _WS:
-            i += 1
-        if i >= n:
-            raise ParseError("unexpected end of input", i)
-        c = text[i]
+        if ws:
+            while i < n and text[i] in _WS:
+                i += 1
+        c = text[i] if i < n else ""
         if c == "(":
             stack.append(_OPEN)
             i += 1
             continue
-        if c == ".":
-            label = None
-            i += 1
-        elif c in _LABEL_CHARS:
-            j = i + 1
+        j = i + 1
+        if c != ".":
+            if c not in _LABEL_CHARS:
+                end = "unexpected end of input"
+                raise ParseError(f"expected a term, found {c!r}" if c else end, i)
             while j < n and text[j] in _LABEL_CHARS:
                 j += 1
-            label = text[i:j]
-            i = j
-        else:
-            raise ParseError(f"expected a term, found {c!r}", i)
+        label = text[i:j]
+        i = j
         term: Term | None = leaves.get(label)
         if term is None:
-            term = leaves[label] = Leaf(label)
+            term = leaves[label] = Leaf(None if label == "." else label)
         # Attach the completed term upward, closing parens as they finish.
         while True:
-            while i < n and text[i] in _WS:
-                i += 1
+            if ws:
+                while i < n and text[i] in _WS:
+                    i += 1
+            c = text[i] if i < n else ""
             if not stack:
-                if i < n:
-                    raise ParseError(f"trailing input {text[i]!r}", i)
+                if c:
+                    raise ParseError(f"trailing input {c!r}", i)
                 return term
             top = stack[-1]
+            want = "*" if top is _OPEN else ")"
+            if c != want:
+                end = f"unexpected end of input, expected {want!r}"
+                raise ParseError(f"expected {want!r}, found {c!r}" if c else end, i)
+            i += 1
             if top is _OPEN:
-                if i >= n:
-                    raise ParseError("unexpected end of input, expected '*'", i)
-                if text[i] != "*":
-                    raise ParseError(f"expected '*', found {text[i]!r}", i)
                 stack[-1] = term
-                i += 1
                 break
-            if i >= n:
-                raise ParseError("unexpected end of input, expected ')'", i)
-            if text[i] != ")":
-                raise ParseError(f"expected ')', found {text[i]!r}", i)
             stack.pop()
             term = Node(top, term)
-            i += 1
 
 
 def render(t: Term) -> str:

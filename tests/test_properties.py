@@ -1,5 +1,7 @@
 """Hypothesis-based invariants over randomly generated terms."""
 
+import re
+
 from hypothesis import given, strategies as st
 
 from assocnf.rewrite import (
@@ -38,6 +40,16 @@ terms = st.recursive(leaves, lambda children: st.builds(Node, children, children
 @given(terms)
 def test_parse_render_round_trip(t):
     assert parse(render(t)) == t
+
+
+@given(terms, st.data())
+def test_whitespace_at_token_boundaries_is_ignored(t, data):
+    # a run of whitespace, maybe empty, before each token and after the last
+    tokens = re.findall(r"[a-z0-9_]+|.", render(t))
+    gap = st.text(" \t\r\n", max_size=3)
+    runs = data.draw(st.lists(gap, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = "".join(run + token for run, token in zip(runs, tokens + [""]))
+    assert parse(text) == t
 
 
 @given(terms)

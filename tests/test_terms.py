@@ -51,29 +51,34 @@ def test_parse_multichar_labels():
     assert t == Node(Leaf("x1"), Node(Leaf("long_label"), Leaf(None)))
 
 
+PARSE_ERRORS = [
+    ("", 0, "unexpected end of input"),
+    ("(", 1, "unexpected end of input"),
+    ("()", 1, "expected a term, found ')'"),
+    ("(*a)", 1, "expected a term, found '*'"),
+    ("(a", 2, "unexpected end of input, expected '*'"),
+    ("(a*b", 4, "unexpected end of input, expected ')'"),
+    ("(a%b)", 2, "expected '*', found '%'"),
+    ("(A*b)", 1, "expected a term, found 'A'"),
+    ("(a*b))", 5, "trailing input ')'"),
+    ("a)", 1, "trailing input ')'"),
+    ("(.*.)x", 5, "trailing input 'x'"),
+    ("a b", 2, "trailing input 'b'"),
+    ("(a*b))ß", 5, "trailing input ')'"),
+    ("(a*b*c)", 4, "expected ')', found '*'"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,offset",
-    [
-        ("", 0),
-        ("(", 1),
-        ("()", 1),
-        ("(*a)", 1),
-        ("(a*b", 4),
-        ("(a%b)", 2),
-        ("(A*b)", 1),
-        ("(a*b))", 5),
-        ("a)", 1),
-        ("(.*.)x", 5),
-        ("a b", 2),
-        ("(a*b))ß", 5),
-        ("(a*b*c)", 4),
-    ],
+    "text,offset,message", PARSE_ERRORS, ids=[f"{t}-{o}" for t, o, _ in PARSE_ERRORS]
 )
-def test_parse_errors_carry_byte_offset(text, offset):
+def test_parse_errors_carry_byte_offset(text, offset, message):
+    # every form of the three refusals: a term expected, '*' or ')' expected
+    # after a term, and trailing input
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.offset == offset
-    assert f"byte {offset}" in str(exc.value)
+    assert str(exc.value) == f"{message} at byte {offset}"
 
 
 def test_parse_rejects_non_ascii_at_its_own_offset():
