@@ -24,10 +24,13 @@ import sys
 from functools import cache
 from types import SimpleNamespace
 
+# enumerate_shapes is unused here, but perfbench/tracing.py wraps it in
+# this module's namespace.
 from .oracle import (
     ENUMERATION_CAP,
     GRAPH_CAP,
     _count,
+    _texts,
     build_graph,
     enumerate_shapes,
     export_dot,
@@ -73,6 +76,11 @@ def _cmd_trace(args: SimpleNamespace) -> int:
     # One write per line: print makes two.
     write = sys.stdout.write
     if not args.quiet:
+        encoding = getattr(sys.stdout, "encoding", None)
+        if trace.step_count and encoding is not None:
+            # A stream that cannot encode the step lines' markers is refused
+            # before the start line, so the refusal leaves stdout empty.
+            "ε⊳".encode(encoding, sys.stdout.errors)
         # The last step's text is the normal form's, so the start is the
         # only term rendered.
         text = render(trace.start)
@@ -95,8 +103,8 @@ def _cmd_enumerate(args: SimpleNamespace) -> int:
     if args.count_only:
         print(_count(args.n, args.cap))
     else:
-        for t in enumerate_shapes(args.n, cap=args.cap):
-            print(render(t))
+        # One line at a time, so no shape is held.
+        sys.stdout.writelines(_texts(args.n, args.cap))
     return 0
 
 

@@ -20,10 +20,11 @@ bits, most significant first, 0 for a node and 1 for a leaf.  Two facts:
 
 Every shape list comes from one split recurrence, ``_split``, with a join
 per caller: ``_shapes`` builds words and values, :func:`build_graph` words,
-texts and amounts, ``_count`` nothing at all, so the count that
-``enumerate --count-only`` prints holds one shared reference per shape, and
-:func:`verify_all` words and measures.  The recurrence yields each size as it
-completes it, so ``verify_all`` runs it once for every size.
+texts and amounts, and :func:`verify_all` words and measures.  The
+recurrence yields each size as it completes it, so ``verify_all`` runs it
+once for every size.  The ``enumerate`` command holds no shape: ``_count``
+runs the same recurrence over integers, and ``_texts`` steps from each text
+to the next in text order.
 
 Node ``i`` is the ``i``-th word; edges are index tuples, and searches and
 checks run on indices.  Strings are made once per shape, for output: nodes
@@ -134,13 +135,54 @@ def _shapes(n: int, cap: int, leaf, node) -> list[tuple]:
 
 
 def _count(n: int, cap: int) -> int:
-    """The number of shapes of size ``n``, with no word or value built.
+    """The number of shapes of size ``n``: ``_split``'s recurrence over counts."""
+    _check_size(n, cap, "enumeration")
+    counts = [1]
+    for m in range(1, n + 1):
+        counts.append(sum(counts[i] * counts[m - 1 - i] for i in range(m)))
+    return counts[n]
 
-    Each item is one shared reference to a right-hand item, so a size's list
-    holds one slot per shape.
+
+def _texts(n: int, cap: int) -> Iterator[str]:
+    """Every shape of size ``n`` as a line of canonical text, in text order.
+
+    A shape is the number ``a[j]`` of ``(`` before each leaf ``j``: ``a[n]``
+    is 0, the counts sum to ``n``, and leaves ``0..j`` have at least
+    ``j + 1`` of them before them, one for each ``*`` that follows.  ``(``
+    sorts before ``.``, so text order is decreasing order of ``a``, from the
+    left chain ``[n, 0, ..., 0]`` to the right chain ``[1, ..., 1, 0]``.  The
+    successor lowers the last ``a[i]`` that can fall, ``i <= n - 2``, and
+    moves the rest of the ``n`` opens to ``a[i + 1]``.  The nodes open before
+    leaf ``j`` are the string ``stacks[j]``, 0 for a node in its left subtree
+    and 1 in its right, kept with the text before that leaf in ``heads[j]``,
+    so a successor rebuilds only the leaves from ``i`` on.  No list or term
+    is built: the memory is O(n^2) characters, whatever the shape count.
     """
-    sizes = _split(n, cap, None, lambda left, rights, shift, m: rights)
-    return len(deque(sizes, maxlen=1).pop())
+    _check_size(n, cap, "enumeration")
+    a = [n] + [0] * n
+    heads, stacks = [""] * (n + 1), [""] * (n + 1)
+    i = 0
+    while True:
+        for j in range(i, n):
+            if a[j]:
+                # Leaf j is the left child of the last node it opens.
+                heads[j + 1] = heads[j] + "(" * a[j] + ".*"
+                stacks[j + 1] = stacks[j] + "0" * (a[j] - 1) + "1"
+            else:
+                # Leaf j closes the nodes whose right subtree it ends, then
+                # the innermost node still in its left subtree moves right.
+                left = stacks[j].rstrip("1")
+                heads[j + 1] = heads[j] + "." + ")" * (len(stacks[j]) - len(left)) + "*"
+                stacks[j + 1] = left[:-1] + "1"
+        yield heads[n] + "." + ")" * len(stacks[n]) + "\n"
+        rest, i = a[n - 1], n - 2
+        while i >= 0 and (a[i] == 0 or n - rest < i + 2):
+            rest += a[i]
+            i -= 1
+        if i < 0:
+            return
+        a[i] -= 1
+        a[i + 1 :] = [rest + 1] + [0] * (n - i - 1)
 
 
 def enumerate_shapes(n: int, cap: int = ENUMERATION_CAP) -> list[Term]:

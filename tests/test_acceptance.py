@@ -7,10 +7,12 @@ check, since absolute constants depend on the machine).
 """
 
 import gc
+import os
 import random
 import time
 import tracemalloc
 from collections import Counter, deque
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -480,16 +482,27 @@ def test_trace_replay_peaks_are_linear(family, replay, strategy, n):
     )
 
 
-def test_shape_count_peak_is_one_slot_per_shape(capsys):
-    # enumerate --count-only builds no word and no value per shape: each
-    # size's list holds one reference per shape, 8 bytes and its slack
-    counts = catalan_counts(12)
-    per_shape = _peak_bytes(main, ["enumerate", "12", "--count-only"]) / sum(counts)
-    assert capsys.readouterr().out == f"{counts[12]}\n" * 2
-    assert per_shape <= 10.0, round(per_shape, 2)
+def test_shape_count_peak_is_independent_of_n(capsys):
+    # enumerate --count-only holds n + 1 integers and no shape, so its peak
+    # at n = 14, 2,674,440 shapes, is that at n = 3, 5 shapes, within 1 KiB
+    peaks = {n: _peak_bytes(main, ["enumerate", str(n), "--count-only"]) for n in (3, 14)}
+    assert capsys.readouterr().out == "5\n" * 2 + "2674440\n" * 2
+    assert abs(peaks[14] - peaks[3]) <= 1024, peaks
     print(
-        f"PASS count peak gate: enumerate 12 --count-only peaks at "
-        f"{per_shape:.1f} B per shape of sizes 0..12"
+        f"PASS count peak gate: enumerate --count-only peaks at {peaks[3]} B "
+        f"at n = 3 and {peaks[14]} B at n = 14"
+    )
+
+
+def test_shape_print_peak_is_independent_of_the_shape_count():
+    # enumerate writes one line at a time and holds no shape: C(11)/C(9) is
+    # 12.1, and the peak at n = 11 stays within twice that at n = 9
+    with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
+        peaks = {n: _peak_bytes(main, ["enumerate", str(n)]) for n in (9, 11)}
+    assert peaks[11] <= 2 * peaks[9], peaks
+    print(
+        f"PASS print peak gate: enumerate peaks at {peaks[9]} B at n = 9 "
+        f"and {peaks[11]} B at n = 11"
     )
 
 

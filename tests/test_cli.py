@@ -200,9 +200,11 @@ def test_metrics_balanced(capsys):
 
 
 def test_enumerate_lists_shapes(capsys):
-    code, out, _ = run(capsys, "enumerate", "3")
-    assert code == 0
-    assert out.splitlines() == [render(t) for t in enumerate_shapes(3)]
+    # the streamed texts against the library's shapes, rendered
+    for n in range(11):
+        code, out, _ = run(capsys, "enumerate", str(n))
+        assert code == 0
+        assert out == "".join(render(t) + "\n" for t in enumerate_shapes(n)), n
 
 
 def test_enumerate_count_only(capsys):
@@ -483,16 +485,18 @@ def _env():
     "argv, head",
     [
         (("enumerate", "10"), b"(((((((((("),
+        (("enumerate", "3000", "--cap", "3000"), b"(((((((((("),
         (("graph", "10"), b"digraph re"),
         (("graph", "10", "--out", "/dev/stdout"), b"digraph re"),
         (("verify", "--max-n", "10", "--records", "/dev/stdout"), b'{"term": '),
         (("trace", "--strategy", "longest", "(" * 200 + "." + "*.)" * 200), b"start (((("),
     ],
-    ids=["enumerate", "graph", "graph-out", "verify-records", "trace"],
+    ids=["enumerate", "enumerate-deep", "graph", "graph-out", "verify-records", "trace"],
 )
 def test_closed_pipe_exits_2_with_one_error_line(argv, head):
     # Each prints megabytes, well over a pipe buffer, so the process is
     # still writing when the reader goes away: enumerate 10 about 700 KB,
+    # enumerate 3000 far more shapes than could ever be printed, 12 KB each,
     # graph 10 about 7.9 MB a line at a time, its records about 2.7 MB, the
     # 19,900-step trace more.  --out and --records write the pipe through
     # a file of their own, not through sys.stdout.
@@ -508,6 +512,32 @@ def test_closed_pipe_exits_2_with_one_error_line(argv, head):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+def _trace_under(encoding, *argv):
+    """A fresh ``trace`` process whose stdout has ``encoding``."""
+    env = {**_env(), "PYTHONIOENCODING": encoding}
+    argv = [sys.executable, "-m", "assocnf.cli", "trace", *argv]
+    return subprocess.run(argv, env=env, capture_output=True, timeout=60)
+
+
+def test_trace_is_refused_whole_on_a_stdout_without_its_markers():
+    # The step lines' markers are encoded before the start line is written,
+    # so a stream that cannot take them gets no partial trace.
+    done = _trace_under("ascii", "((a*b)*c)")
+    assert (done.returncode, done.stdout) == (2, b"")
+    (line,) = done.stderr.splitlines()
+    assert line.startswith(b"error: 'ascii' codec can't encode")
+    # With no step line to print, nothing is checked.
+    for argv, out in [
+        (("--quiet", "((a*b)*c)"), b"steps=1\n"),
+        (("(a*(b*c))",), b"start (a*(b*c))\nfinal (a*(b*c))\nsteps=0\n"),
+    ]:
+        done = _trace_under("ascii", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, b"")
+    done = _trace_under("ascii:replace", "((a*b)*c)")
+    out = b"start ((a*b)*c)\n? ? (a*(b*c))\nfinal (a*(b*c))\nsteps=1\n"
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, b"")
 
 
 def test_well_formed_command_loads_no_argparse():

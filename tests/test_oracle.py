@@ -67,6 +67,12 @@ def test_enumeration_counts_follow_catalan_recurrence():
         assert len(enumerate_shapes(n)) == _count(n, ENUMERATION_CAP) == counts[n]
 
 
+def test_count_is_the_closed_form_catalan_number():
+    # independent of the split recurrence that _count and catalan_counts share
+    for n in range(61):
+        assert _count(n, 60) == comb(2 * n, n) // (n + 1), n
+
+
 def test_enumeration_is_unique_and_sorted():
     for n in range(7):
         keys = [render(t) for t in enumerate_shapes(n)]
