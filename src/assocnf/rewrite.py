@@ -32,9 +32,8 @@ split at ``*`` (``_step_texts``): a rotation moves one ``(`` and one ``)``
 of the text, so each step costs four chunk edits and one join, and
 printing the steps builds no term at all.
 
-:func:`apply_at` is the only code that rotates a term.
-:func:`step_shortest` finds its position and calls it, and so does the
-``steps`` view.
+:func:`apply_at` is the only code that rotates a term; the ``steps`` view
+calls it.
 
 Positions are strings over ``L``/``R`` read from the root; the empty string
 is the root and prints as ``ε``.  When redexes are listed or chosen, deeper
@@ -44,10 +43,9 @@ positions come first and ties break lexicographically with ``L < R``.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
-from itertools import islice
+from collections.abc import Iterator
 
-from .terms import Leaf, Node, Term, render, sigma
+from .terms import Leaf, Node, Term, _check_term, render, sigma
 
 __all__ = [
     "Position",
@@ -59,7 +57,6 @@ __all__ = [
     "format_position",
     "find_redexes",
     "apply_at",
-    "step_shortest",
     "normalize_shortest",
     "normalize_longest",
     "normalize",
@@ -123,13 +120,12 @@ class Trace(namedtuple("Trace", "start final strategy step_count")):
         return Steps(self)
 
 
-class Steps(Sequence):
+class Steps:
     """Read-only view of a :class:`Trace`'s steps, replayed from its start.
 
-    Iterating streams one :class:`Step` at a time, so only the current term
-    is alive.  Indexing replays up to the index; ``reversed`` and ``index``
-    replay once.  Compares equal to any tuple, list or view holding the same
-    steps.
+    ``len`` reads ``step_count`` and replays nothing.  Each iteration
+    replays the trace once and streams one :class:`Step` at a time, so only
+    the current term is alive.
     """
 
     __slots__ = ("_trace",)
@@ -146,34 +142,6 @@ class Steps(Sequence):
             cur = apply_at(cur, p)
             yield Step(p, cur)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        # range indexes as a tuple does: negative and bool indices, TypeError
-        # and IndexError.
-        return next(islice(self, range(len(self))[index], None))
-
-    def __reversed__(self) -> Iterator[Step]:
-        """One replay, kept whole.
-
-        Steps share subtrees, so the tuple holds only the nodes
-        :func:`apply_at` built, ``len(position) + 2`` per step.
-        """
-        return reversed(tuple(self))
-
-    def index(self, value: object, start: int = 0, stop: int | None = None) -> int:
-        """``Sequence.index`` from one replay, not one replay per index."""
-        indices = range(len(self))[start:stop]
-        for i, step in zip(indices, islice(self, indices.start, indices.stop)):
-            if step == value:
-                return i
-        raise ValueError("step not in trace")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Steps, tuple, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
     def __repr__(self) -> str:
         return f"<{len(self)} {self._trace.strategy} steps>"
 
@@ -188,6 +156,7 @@ def find_redexes(t: Term) -> list[Position]:
     Output-bound, so its memory may exceed O(size): that sum is up to
     size²/2, and on ``left_chain(10**4)`` the list peaks at 49 MiB.
     """
+    _check_term(t)
     found: list[Position] = []
     stack: list[tuple[Term, str]] = [(t, "")]
     while stack:
@@ -230,25 +199,6 @@ def apply_at(t: Term, p: Position) -> Term:
     return result
 
 
-def step_shortest(t: Term) -> tuple[Term, Position] | None:
-    """Apply one rewrite at the shallowest redex on the rightmost path.
-
-    Scans down the right spine past nodes whose left child is a leaf, to
-    depth ``k``, and fires there with :func:`apply_at` at ``R^k``.  Returns
-    ``None`` iff ``t`` is already in normal form; otherwise ``(rewritten,
-    position)``, and the rewrite is guaranteed to push the rightmost leaf
-    exactly one edge deeper.  Iterated to a fixpoint, it makes the steps of
-    :func:`normalize_shortest`.
-    """
-    focus, k = t, 0
-    while isinstance(focus, Node) and isinstance(focus.left, Leaf):
-        focus, k = focus.right, k + 1
-    if not isinstance(focus, Node):
-        return None
-    p = "R" * k
-    return apply_at(t, p), p
-
-
 def _normal_form(t: Term) -> tuple[Term, int]:
     """The normal form of ``t`` and ``size(t) - depth_rightmost(t)``.
 
@@ -262,6 +212,7 @@ def _normal_form(t: Term) -> tuple[Term, int]:
     These walks pass every node off the root's right spine once, so they
     count ``size - d_rm``.  O(size(t)) time and memory at any depth.
     """
+    _check_term(t)
     owed: list[Term] = []
     x = t
     while isinstance(x, Node):
@@ -397,10 +348,11 @@ def _step_texts(strategy: str, text: str) -> Iterator[tuple[Position, str]]:
 def normalize_shortest(t: Term) -> Trace:
     """Normalize by rotating as close to the root as possible.
 
-    Takes exactly ``size(t) - depth_rightmost(t)`` steps, the steps of
-    iterating :func:`step_shortest` to a fixpoint.  The normal form and
-    that count come from one walk (``_normal_form``) with no rotation:
-    O(size(t)) time and memory.
+    Takes exactly ``size(t) - depth_rightmost(t)`` steps, each fired at the
+    shallowest redex on the root's right spine, and each pushing the
+    rightmost leaf one edge deeper.  The normal form and that count come
+    from one walk (``_normal_form``) with no rotation: O(size(t)) time and
+    memory.
     """
     final, step_count = _normal_form(t)
     return Trace(t, final, "shortest", step_count)

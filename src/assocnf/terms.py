@@ -85,6 +85,12 @@ class Term:
         return hash(render(self))
 
 
+def _check_term(t: object) -> None:
+    """Refuse a non-term, which every walk would take for a leaf."""
+    if not isinstance(t, Term):
+        raise TypeError(f"expected a Term, got {type(t).__name__}")
+
+
 class Leaf(Term):
     """A leaf, carrying an optional label over ``[a-z0-9_]``."""
 
@@ -265,6 +271,7 @@ def measure(t: Term) -> Metrics:
     stays small on both chains.  The root's right spine is walked first, so
     the node count when it ends is ``d_rm``.
     """
+    _check_term(t)
     count = total = 0
     d_rm = -1
     stack = [(t, 0)]
@@ -297,6 +304,7 @@ def sigma(t: Term) -> int:
 
 def depth_rightmost(t: Term) -> int:
     """Edge count from the root to the rightmost leaf (0 for a leaf)."""
+    _check_term(t)
     d = 0
     while isinstance(t, Node):
         t = t.right

@@ -35,7 +35,6 @@ from assocnf.rewrite import (
     normalize,
     normalize_longest,
     normalize_shortest,
-    step_shortest,
 )
 from assocnf.terms import (
     Leaf,
@@ -204,14 +203,15 @@ def test_criterion_6_single_step_depth_gain():
     fired = 0
     for n in range(9):
         for t in enumerate_shapes(n):
-            result = step_shortest(t)
-            if result is not None:
-                after, _ = result
-                assert depth_rightmost(after) == depth_rightmost(t) + 1, render(t)
+            before = depth_rightmost(t)
+            for step in normalize_shortest(t).steps:
+                after = depth_rightmost(step.term_after)
+                assert after == before + 1, (render(t), step.position)
+                before = after
                 fired += 1
     print(
-        f"PASS criterion 6: the near-root step raises d_rm by exactly 1 on "
-        f"all {fired} non-NF shapes with n <= 8"
+        f"PASS criterion 6: every near-root step raises d_rm by exactly 1, "
+        f"all {fired} shortest steps over shapes with n <= 8"
     )
 
 

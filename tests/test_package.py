@@ -15,8 +15,7 @@ def test_exported_names_are_unchanged():
         "right_chain", "measure",
         "Position", "RewriteError", "InvalidPosition", "NotARedex", "Step",
         "Trace", "format_position", "find_redexes", "apply_at",
-        "step_shortest", "normalize_shortest", "normalize_longest",
-        "normalize", "STRATEGIES",
+        "normalize_shortest", "normalize_longest", "normalize", "STRATEGIES",
         "ENUMERATION_CAP", "GRAPH_CAP", "CapExceeded", "RewriteGraph",
         "TermRecord", "VerificationReport", "enumerate_shapes", "build_graph",
         "verify_sn", "verify_wcr", "verify_unique_nf", "longest_paths",

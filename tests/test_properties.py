@@ -10,7 +10,6 @@ from assocnf.rewrite import (
     find_redexes,
     normalize_longest,
     normalize_shortest,
-    step_shortest,
 )
 from assocnf.terms import (
     Leaf,
@@ -83,13 +82,13 @@ def test_step_law_at_every_redex(t):
 
 @given(terms)
 def test_single_shortest_step_grows_rightmost_depth(t):
-    result = step_shortest(t)
-    if result is None:
-        assert is_normal_form(t)
-    else:
-        after, p = result
-        assert after == apply_at(t, p)
-        assert depth_rightmost(after) == depth_rightmost(t) + 1
+    steps = list(normalize_shortest(t).steps)
+    assert (steps == []) == is_normal_form(t)
+    before = t
+    for step in steps:
+        assert step.term_after == apply_at(before, step.position)
+        assert depth_rightmost(step.term_after) == depth_rightmost(before) + 1
+        before = step.term_after
 
 
 @given(terms)

@@ -1,6 +1,8 @@
-"""The ``python`` examples in README.md, run as doctests."""
+"""README.md checked against the package: its ``python`` examples run as
+doctests, and its Layout table names only what exists."""
 
 import doctest
+import importlib
 import re
 from pathlib import Path
 
@@ -32,3 +34,20 @@ def test_readme_example_runs(lineno, block):
     report = []
     runner.run(test, out=report.append)
     assert runner.failures == 0, "".join(report)
+
+
+def test_layout_table_names_exist():
+    # every backticked name in a row is the row's module's or one of its
+    # exported classes', so a deleted name cannot stay documented
+    layout = TEXT[TEXT.index("\n## Layout\n") :]
+    rows = re.findall(r"^\| `(assocnf\.\w+)` +\|(.*)\|$", layout, re.M)
+    assert len(rows) == 4
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        exported = (getattr(module, name) for name in getattr(module, "__all__", ()))
+        owners = [module, *(x for x in exported if isinstance(x, type))]
+        for name in re.findall(r"`([A-Za-z_]\w*)`", contents):
+            if not any(hasattr(owner, name) for owner in owners):
+                missing.append(f"{module_name}: {name}")
+    assert missing == []

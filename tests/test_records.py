@@ -17,7 +17,7 @@ def test_reprs_name_every_field():
         "Trace(start=parse('((a*b)*c)'), final=parse('(a*(b*c))'), "
         "strategy='longest', step_count=1)"
     )
-    assert repr(trace.steps[0]) == "Step(position='', term_after=parse('(a*(b*c))'))"
+    assert repr(next(iter(trace.steps))) == "Step(position='', term_after=parse('(a*(b*c))'))"
     assert repr(normalize(parse("(((a*b)*c)*d)"), "longest").steps) == "<3 longest steps>"
     assert repr(Leaf()) == "Leaf()" and repr(Leaf("a")) == "Leaf('a')"
     assert str(T) == "((a*b)*c)"

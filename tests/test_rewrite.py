@@ -19,13 +19,13 @@ from assocnf.rewrite import (
     normalize,
     normalize_longest,
     normalize_shortest,
-    step_shortest,
 )
 from assocnf.terms import (
     Leaf,
     depth_rightmost,
     is_normal_form,
     left_chain,
+    measure,
     parse,
     render,
     right_chain,
@@ -149,38 +149,39 @@ def test_sigma_step_law_on_small_shapes():
 
 
 # ---------------------------------------------------------------------------
-# single shortest-strategy step
+# the first step of the shortest strategy
+
+
+def _first_shortest_step(t):
+    return next(iter(normalize_shortest(t).steps), None)
 
 
 def test_step_shortest_fires_at_root():
-    result = step_shortest(parse(EXAMPLE))
-    assert result is not None
-    out, pos = result
-    assert render(out) == "((a*b)*(c*d))"
-    assert pos == ""
+    step = _first_shortest_step(parse(EXAMPLE))
+    assert step is not None
+    assert render(step.term_after) == "((a*b)*(c*d))"
+    assert step.position == ""
 
 
 def test_step_shortest_none_on_nf():
-    assert step_shortest(parse("(a*(b*(c*d)))")) is None
-    assert step_shortest(Leaf("a")) is None
+    assert _first_shortest_step(parse("(a*(b*(c*d)))")) is None
+    assert _first_shortest_step(Leaf("a")) is None
 
 
 def test_step_shortest_descends_past_leaf_lefts():
-    result = step_shortest(parse("(a*((b*c)*d))"))
-    assert result is not None
-    out, pos = result
-    assert render(out) == "(a*(b*(c*d)))"
-    assert pos == "R"
+    step = _first_shortest_step(parse("(a*((b*c)*d))"))
+    assert step is not None
+    assert render(step.term_after) == "(a*(b*(c*d)))"
+    assert step.position == "R"
 
 
 def test_step_shortest_increments_rightmost_depth():
     for t in all_shapes_upto(6):
-        result = step_shortest(t)
-        if result is None:
+        step = _first_shortest_step(t)
+        if step is None:
             assert is_normal_form(t)
         else:
-            out, _ = result
-            assert depth_rightmost(out) == depth_rightmost(t) + 1
+            assert depth_rightmost(step.term_after) == depth_rightmost(t) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,7 @@ def test_normalize_shortest_example():
 
 def test_normalize_shortest_leaf():
     trace = normalize_shortest(Leaf("a"))
-    assert trace.steps == ()
+    assert tuple(trace.steps) == ()
     assert trace.final == Leaf("a")
 
 
@@ -216,21 +217,6 @@ def test_normalize_shortest_step_count_formula():
         assert is_normal_form(trace.final)
 
 
-def test_normalize_shortest_equals_iterated_single_steps():
-    for t in all_shapes_upto(6):
-        trace = normalize_shortest(t)
-        cur = t
-        expected = []
-        while True:
-            result = step_shortest(cur)
-            if result is None:
-                break
-            cur, pos = result
-            expected.append((pos, cur))
-        assert [(s.position, s.term_after) for s in trace.steps] == expected
-        assert trace.final == cur
-
-
 def test_normalize_longest_example():
     trace = normalize_longest(parse(EXAMPLE))
     assert [render(s.term_after) for s in trace.steps] == [
@@ -243,7 +229,7 @@ def test_normalize_longest_example():
 
 def test_normalize_longest_nf_is_empty_trace():
     trace = normalize_longest(right_chain(4))
-    assert trace.steps == ()
+    assert tuple(trace.steps) == ()
     assert trace.final == right_chain(4)
 
 
@@ -320,38 +306,9 @@ def test_longest_positions_fire_each_redex_down_its_right_spine():
         assert _positions("longest", t) == expected, render(t)
 
 
-def test_steps_view_is_a_read_only_sequence():
-    trace = normalize_longest(parse(EXAMPLE))
+def test_steps_len_is_free_and_each_iteration_replays_once(monkeypatch):
+    trace = normalize(left_chain(20), "longest")
     steps = trace.steps
-    replayed = tuple(steps)
-    assert steps == replayed and steps == list(replayed) and steps == trace.steps
-    assert steps != replayed[:2]
-    assert steps[0] == replayed[0] and steps[-1] == replayed[-1]
-    assert steps[1:] == replayed[1:]
-    assert list(reversed(steps)) == list(reversed(replayed))
-    assert (steps == 3) is False
-    with pytest.raises(IndexError):
-        steps[3]
-    with pytest.raises(AttributeError):
-        trace.step_count = 0
-
-
-@pytest.mark.parametrize("index", [1.5, "x", None])
-def test_steps_index_must_be_an_integer(index):
-    # the same TypeError as a tuple gives, not islice's ValueError
-    steps = normalize(left_chain(4), "longest").steps
-    with pytest.raises(TypeError):
-        steps[index]
-    with pytest.raises(TypeError):
-        tuple(steps)[index]
-    assert steps[True] == steps[1] == tuple(steps)[1]
-
-
-def test_steps_reversed_and_index_replay_once(monkeypatch):
-    # Sequence's own reversed and index call __getitem__ per index, and each
-    # call replays from the start: 18,145 apply_at calls here
-    steps = normalize(left_chain(20), "longest").steps
-    replayed = tuple(steps)
     calls = []
 
     def counting(t, p):
@@ -360,22 +317,14 @@ def test_steps_reversed_and_index_replay_once(monkeypatch):
 
     monkeypatch.setattr("assocnf.rewrite.apply_at", counting)
     assert len(steps) == 190
-    assert list(reversed(steps)) == list(reversed(replayed))
+    assert calls == []
+    first = list(steps)
     assert len(calls) == 190
-    for value, args, calls_made in [
-        (replayed[-1], (), 190),
-        (replayed[0], (), 1),
-        (replayed[5], (-185, -1), 6),
-        (replayed[7], (3, 8), 8),
-    ]:
-        calls.clear()
-        assert steps.index(value, *args) == replayed.index(value, *args)
-        assert len(calls) == calls_made
-    for args in [(6,), (-3, 200), (0, -190), (150, 10)]:
-        with pytest.raises(ValueError):
-            replayed.index(replayed[5], *args)
-        with pytest.raises(ValueError):
-            steps.index(replayed[5], *args)
+    calls.clear()
+    assert list(steps) == first
+    assert len(calls) == 190
+    with pytest.raises(AttributeError):
+        trace.step_count = 0
 
 
 def test_steps_of_an_unknown_strategy_raise():
@@ -389,10 +338,34 @@ def test_normalize_dispatch():
     short = normalize(t, "shortest")
     long = normalize(t, "longest")
     assert short.final == long.final == parse("(a*(b*(c*d)))")
-    assert normalize(Leaf("a"), "shortest").steps == ()
-    assert normalize(Leaf("a"), "longest").steps == ()
+    assert tuple(normalize(Leaf("a"), "shortest").steps) == ()
+    assert tuple(normalize(Leaf("a"), "longest").steps) == ()
     with pytest.raises(ValueError):
         normalize(t, "fastest")
+
+
+@pytest.mark.parametrize(
+    "value", ["((a*b)*c)", None, ("a", "b")], ids=["text", "None", "tuple"]
+)
+@pytest.mark.parametrize(
+    "function",
+    [
+        measure,
+        size,
+        sigma,
+        is_normal_form,
+        depth_rightmost,
+        find_redexes,
+        normalize_shortest,
+        normalize_longest,
+        normalize,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_a_value_that_is_not_a_term_is_refused(function, value):
+    # every walk takes a non-term for a leaf, so each entry checks once
+    with pytest.raises(TypeError, match=f"expected a Term, got {type(value).__name__}$"):
+        function(value)
 
 
 def test_strategies_agree_on_random_terms():
