@@ -306,7 +306,30 @@ def test_longest_positions_fire_each_redex_down_its_right_spine():
         assert _positions("longest", t) == expected, render(t)
 
 
-def test_steps_len_is_free_and_each_iteration_replays_once(monkeypatch):
+def test_steps_view_is_a_read_only_sequence():
+    # a read-only view with a length that replays the same steps each time;
+    # it has no indexing or reversed of its own, so callers take a tuple
+    trace = normalize_longest(parse(EXAMPLE))
+    steps = trace.steps
+    replayed = tuple(steps)
+    assert len(steps) == len(replayed) == trace.step_count == 3
+    assert tuple(steps) == replayed == tuple(trace.steps)
+    assert [render(s.term_after) for s in steps] == [
+        render(s.term_after) for s in replayed
+    ]
+    with pytest.raises(TypeError):
+        steps[0]
+    with pytest.raises(TypeError):
+        reversed(steps)
+    with pytest.raises(AttributeError):
+        trace.step_count = 0
+    with pytest.raises(AttributeError):
+        trace.steps = replayed
+
+
+def test_steps_reversed_and_index_replay_once(monkeypatch):
+    # len replays nothing, and each iteration replays the trace exactly once,
+    # so a reversed or indexed copy costs one replay, not one per index
     trace = normalize(left_chain(20), "longest")
     steps = trace.steps
     calls = []
@@ -321,10 +344,14 @@ def test_steps_len_is_free_and_each_iteration_replays_once(monkeypatch):
     first = list(steps)
     assert len(calls) == 190
     calls.clear()
-    assert list(steps) == first
+    replayed = tuple(steps)
+    assert list(replayed) == first
     assert len(calls) == 190
-    with pytest.raises(AttributeError):
-        trace.step_count = 0
+    calls.clear()
+    assert list(reversed(replayed)) == first[::-1]
+    assert replayed.index(first[-1]) == 189
+    assert replayed.index(first[5], -185, -1) == 5
+    assert calls == []
 
 
 def test_steps_of_an_unknown_strategy_raise():
