@@ -19,12 +19,13 @@ bits, most significant first, 0 for a node and 1 for a leaf.  Two facts:
   from its children's, so no word is scanned for them.
 
 Every shape list comes from one split recurrence, ``_split``, with a join
-per caller: ``_shapes`` builds words and values, :func:`build_graph` words,
-texts and amounts, and :func:`verify_all` words and measures.  The
-recurrence yields each size as it completes it, so ``verify_all`` runs it
-once for every size.  The ``enumerate`` command holds no shape: ``_count``
-runs the same recurrence over integers, and ``_texts`` steps from each text
-to the next in text order.
+per caller: :func:`enumerate_shapes` builds words and terms,
+:func:`build_graph` words, texts and amounts, and :func:`verify_all` words
+and measures.  The recurrence yields each size as it completes it, so
+``verify_all`` runs it once for every size.  It checks no cap; each caller
+checks its own.  The ``enumerate`` command holds no shape: ``_count`` is the
+Catalan number's closed form, and ``_texts`` steps from each text to the
+next in text order.
 
 Node ``i`` is the ``i``-th word; edges are index tuples, and searches and
 checks run on indices.  Strings are made once per shape, for output: nodes
@@ -46,6 +47,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from collections.abc import Iterator
 from functools import cached_property
+from math import comb
 from operator import itemgetter
 
 # parse, measure, find_redexes and apply_at are unused here, but
@@ -93,7 +95,7 @@ def _check_size(n: int, cap: int, kind: str) -> None:
         raise CapExceeded(f"n={n} exceeds {kind} cap {cap}")
 
 
-def _split(n: int, cap: int, leaf, join) -> Iterator[list]:
+def _split(n: int, leaf, join) -> Iterator[list]:
     """Every shape of each size ``0..n`` as an item, in split order.
 
     Left subtree of size ``i``, right of size ``n-1-i``, so the count follows
@@ -101,9 +103,9 @@ def _split(n: int, cap: int, leaf, join) -> Iterator[list]:
     items over ``left``, one per item of ``rights`` (words ``shift`` bits).
     Yields each size's list as the recurrence completes it, so one run serves
     every size.  A caller may reorder a yielded list in place: larger sizes
-    then come out in another split order, but hold the same items.
+    then come out in another split order, but hold the same items.  It checks
+    no size: each caller checks its own cap first.
     """
-    _check_size(n, cap, "enumeration")
     by_size = [[leaf]]
     yield by_size[0]
     for m in range(1, n + 1):
@@ -118,29 +120,10 @@ def _split(n: int, cap: int, leaf, join) -> Iterator[list]:
         yield items
 
 
-def _shapes(n: int, cap: int, leaf, node) -> list[tuple]:
-    """Every shape of size ``n`` as a ``(word, value)`` pair, in word order.
-
-    A value is ``leaf`` for a leaf and ``node(left, right)`` for a node,
-    shared by equal subtrees.
-    """
-
-    def join(left, rights, shift, m):
-        high, lv = left[0] << shift, left[1]
-        return [(high | rw, node(lv, rv)) for rw, rv in rights]
-
-    shapes = deque(_split(n, cap, (1, leaf), join), maxlen=1).pop()
-    shapes.sort(key=itemgetter(0))
-    return shapes
-
-
 def _count(n: int, cap: int) -> int:
-    """The number of shapes of size ``n``: ``_split``'s recurrence over counts."""
+    """The number of shapes of size ``n``, the Catalan number in closed form."""
     _check_size(n, cap, "enumeration")
-    counts = [1]
-    for m in range(1, n + 1):
-        counts.append(sum(counts[i] * counts[m - 1 - i] for i in range(m)))
-    return counts[n]
+    return comb(2 * n, n) // (n + 1)
 
 
 def _texts(n: int, cap: int) -> Iterator[str]:
@@ -186,8 +169,21 @@ def _texts(n: int, cap: int) -> Iterator[str]:
 
 
 def enumerate_shapes(n: int, cap: int = ENUMERATION_CAP) -> list[Term]:
-    """All unlabeled shapes with ``n`` internal nodes, sorted by canonical text."""
-    return [t for _, t in _shapes(n, cap, Leaf(None), Node)]
+    """All unlabeled shapes with ``n`` internal nodes, sorted by canonical text.
+
+    Sorted on ``_split``'s words, which sort as the texts do.  Equal
+    subtrees are one object: each child is taken from one list of every
+    smaller size's shapes, and every leaf is one ``Leaf``.
+    """
+    _check_size(n, cap, "enumeration")
+
+    def join(left, rights, shift, m):
+        high, lt = left[0] << shift, left[1]
+        return [(high | rw, Node(lt, rt)) for rw, rt in rights]
+
+    shapes = deque(_split(n, (1, Leaf(None)), join), maxlen=1).pop()
+    shapes.sort(key=itemgetter(0))
+    return [t for _, t in shapes]
 
 
 # The sweep's results: the sink count, whether every one-step divergence is
@@ -282,7 +278,7 @@ def build_graph(n: int, cap: int = GRAPH_CAP) -> RewriteGraph:
             return [(high | rw, f"({lt}*{rt})", ra + ls, high) for rw, rt, ra, _ in rights]
         return [(high | rw, f"({lt}*{rt})", ra, ls) for rw, rt, ra, _ in rights]
 
-    shapes = deque(_split(n, cap, (1, ".", (), ()), join), maxlen=1).pop()
+    shapes = deque(_split(n, (1, ".", (), ()), join), maxlen=1).pop()
     shapes.sort(key=itemgetter(0))
     index = {s[0]: i for i, s in enumerate(shapes)}
     targets = tuple(
@@ -389,7 +385,7 @@ def verify_all(n_max: int, cap: int = GRAPH_CAP) -> list[VerificationReport]:
     _check_size(min(n_max, max(cap + 1, 0)), cap, "graph")
     # One recurrence gives every size's measures, each list sorted in place
     # into word order, as the graph's nodes are.
-    measures = _split(n_max, cap, (1, 0, 0, 0), _join_measures)
+    measures = _split(n_max, (1, 0, 0, 0), _join_measures)
     reports = []
     for n in range(n_max + 1):
         g = build_graph(n, cap=cap)

@@ -177,8 +177,10 @@ def apply_at(t: Term, p: Position) -> Term:
     The result has the same size; its ``sigma`` drops by
     ``size(x) + 1`` where ``x`` is the left-left subtree at ``p``.
     Raises :class:`InvalidPosition` if ``p`` exits the tree and
-    :class:`NotARedex` if the subterm there does not match the rule.
+    :class:`NotARedex` if the subterm there does not match the rule, and
+    ``TypeError`` if ``t`` is not a term.
     """
+    _check_term(t)
     spine: list[Node] = []
     cur = t
     for ch in p:

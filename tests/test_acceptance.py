@@ -483,8 +483,9 @@ def test_trace_replay_peaks_are_linear(family, replay, strategy, n):
 
 
 def test_shape_count_peak_is_independent_of_n(capsys):
-    # enumerate --count-only holds n + 1 integers and no shape, so its peak
-    # at n = 14, 2,674,440 shapes, is that at n = 3, 5 shapes, within 1 KiB
+    # enumerate --count-only computes a closed form and holds no shape, so
+    # its peak at n = 14, 2,674,440 shapes, is that at n = 3, 5 shapes,
+    # within 1 KiB
     peaks = {n: _peak_bytes(main, ["enumerate", str(n), "--count-only"]) for n in (3, 14)}
     assert capsys.readouterr().out == "5\n" * 2 + "2674440\n" * 2
     assert abs(peaks[14] - peaks[3]) <= 1024, peaks

@@ -30,11 +30,11 @@ from assocnf.oracle import (
     verify_wcr,
     _count,
     _join_measures,
-    _shapes,
     _split,
 )
 from assocnf.rewrite import apply_at, find_redexes
 from assocnf.terms import (
+    Node,
     depth_rightmost,
     left_chain,
     measure,
@@ -67,10 +67,12 @@ def test_enumeration_counts_follow_catalan_recurrence():
         assert len(enumerate_shapes(n)) == _count(n, ENUMERATION_CAP) == counts[n]
 
 
-def test_count_is_the_closed_form_catalan_number():
-    # independent of the split recurrence that _count and catalan_counts share
+def test_closed_form_count_matches_the_catalan_recurrence():
+    # _count is the closed form; catalan_counts runs the recurrence it skips
+    counts = catalan_counts(60)
     for n in range(61):
-        assert _count(n, 60) == comb(2 * n, n) // (n + 1), n
+        assert _count(n, 60) == counts[n], n
+    assert counts[30] == 3814986502092304  # OEIS A000108
 
 
 def test_enumeration_is_unique_and_sorted():
@@ -79,6 +81,28 @@ def test_enumeration_is_unique_and_sorted():
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
         assert all(size(t) == n for t in enumerate_shapes(n))
+
+
+def test_enumeration_shares_equal_subtrees():
+    # the left children of the size-n shapes are the shapes of every size
+    # below n, one object each, as are the right children, and all leaves
+    # of one size are one object
+    distinct = []
+    for n in range(1, 8):
+        shapes = enumerate_shapes(n)
+        lefts = {id(t.left) for t in shapes}
+        assert len({id(t.right) for t in shapes}) == len(lefts), n
+        distinct.append(len(lefts))
+        leaves, stack = set(), list(shapes)
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Node):
+                stack += (t.left, t.right)
+            else:
+                leaves.add(id(t))
+        assert len(leaves) == 1, n
+    # C(0) + ... + C(n-1), partial sums of OEIS A000108
+    assert distinct == [1, 2, 4, 9, 23, 65, 197]
 
 
 def test_enumeration_base_case():
@@ -102,7 +126,8 @@ def test_word_order_is_canonical_order():
         texts = [render(t) for t in enumerate_shapes(n)]
         assert len(set(texts)) == len(texts) == counts[n]
         assert texts == sorted(texts) == sorted(texts, key=preorder_word)
-        words = [w for w, _ in _shapes(n, ENUMERATION_CAP, None, lambda left, right: None)]
+        *_, shapes = _split(n, (1, 0, 0, 0), _join_measures)
+        words = sorted(w for w, _, _, _ in shapes)
         assert words == [preorder_word(x) for x in texts]
 
 
@@ -221,7 +246,7 @@ def test_measures_past_the_graph_cap_are_the_closed_forms():
     # cap; CI checks n = 14, the enumeration cap
     assert [ballot_counts(n) for n in range(3)] == [{0: 1}, {1: 1}, {1: 1, 2: 1}]
     assert sigma_counts(3) == {3: 1, 2: 1, 1: 2, 0: 1}
-    for n, shapes in enumerate(_split(13, ENUMERATION_CAP, (1, 0, 0, 0), _join_measures)):
+    for n, shapes in enumerate(_split(13, (1, 0, 0, 0), _join_measures)):
         assert Counter(sig for _, _, sig, _ in shapes) == sigma_counts(n), n
         assert Counter(d_rm for _, _, _, d_rm in shapes) == ballot_counts(n), n
 

@@ -395,6 +395,16 @@ def test_a_value_that_is_not_a_term_is_refused(function, value):
         function(value)
 
 
+@pytest.mark.parametrize("position", ["", "L"], ids=["root", "L"])
+@pytest.mark.parametrize(
+    "value", ["((a*b)*c)", None, ("a", "b")], ids=["text", "None", "tuple"]
+)
+def test_apply_at_refuses_a_value_that_is_not_a_term(value, position):
+    # not NotARedex or InvalidPosition, as if a term had no redex there
+    with pytest.raises(TypeError, match=f"expected a Term, got {type(value).__name__}$"):
+        apply_at(value, position)
+
+
 def test_strategies_agree_on_random_terms():
     counts = catalan_counts(8)
     rng = random.Random(1184)
