@@ -129,43 +129,43 @@ def _count(n: int, cap: int) -> int:
 def _texts(n: int, cap: int) -> Iterator[str]:
     """Every shape of size ``n`` as a line of canonical text, in text order.
 
-    A shape is the number ``a[j]`` of ``(`` before each leaf ``j``: ``a[n]``
-    is 0, the counts sum to ``n``, and leaves ``0..j`` have at least
-    ``j + 1`` of them before them, one for each ``*`` that follows.  ``(``
-    sorts before ``.``, so text order is decreasing order of ``a``, from the
-    left chain ``[n, 0, ..., 0]`` to the right chain ``[1, ..., 1, 0]``.  The
-    successor lowers the last ``a[i]`` that can fall, ``i <= n - 2``, and
-    moves the rest of the ``n`` opens to ``a[i + 1]``.  The nodes open before
-    leaf ``j`` are the string ``stacks[j]``, 0 for a node in its left subtree
-    and 1 in its right, kept with the text before that leaf in ``heads[j]``,
-    so a successor rebuilds only the leaves from ``i`` on.  No list or term
-    is built: the memory is O(n^2) characters, whatever the shape count.
+    ``(`` sorts before ``.``, so text order runs from the left chain to the
+    right chain, and each line's successor turns the last ``(`` that can
+    become a leaf into ``.``, then completes the text as early as it can.
+    Walking the text back from its end keeps the nodes open there: a node is
+    pushed at its ``)``, waits at its ``*`` and is popped at its ``(``.  The
+    first ``(`` whose pop still leaves a waiting node open is the one to cut;
+    a walk that reaches the start was over the right chain, the last line.
+    The cut text takes a ``.``, then one piece per open node, innermost
+    first: ``)`` for a node whose ``*`` is behind, ``*.)`` for a waiting one,
+    except that the innermost waiting node takes as its right subtree a left
+    chain of every node from the cut on.  Only the last text is kept, so the
+    memory is O(n) characters, whatever the shape count.
     """
     _check_size(n, cap, "enumeration")
-    a = [n] + [0] * n
-    heads, stacks = [""] * (n + 1), [""] * (n + 1)
-    i = 0
+    text = "(" * n + "." + "*.)" * n
     while True:
-        for j in range(i, n):
-            if a[j]:
-                # Leaf j is the left child of the last node it opens.
-                heads[j + 1] = heads[j] + "(" * a[j] + ".*"
-                stacks[j + 1] = stacks[j] + "0" * (a[j] - 1) + "1"
-            else:
-                # Leaf j closes the nodes whose right subtree it ends, then
-                # the innermost node still in its left subtree moves right.
-                left = stacks[j].rstrip("1")
-                heads[j + 1] = heads[j] + "." + ")" * (len(stacks[j]) - len(left)) + "*"
-                stacks[j + 1] = left[:-1] + "1"
-        yield heads[n] + "." + ")" * len(stacks[n]) + "\n"
-        rest, i = a[n - 1], n - 2
-        while i >= 0 and (a[i] == 0 or n - rest < i + 2):
-            rest += a[i]
-            i -= 1
-        if i < 0:
+        yield text + "\n"
+        # The pieces that close the nodes open at p, outermost first;
+        # stars - freed of them wait, their ( behind p and their * ahead.
+        stack, stars, freed = [], 0, 0
+        for p in range(len(text) - 1, -1, -1):
+            c = text[p]
+            if c == ")":
+                stack.append(")")
+            elif c == "*":
+                stack[-1] = "*.)"
+                stars += 1
+            elif c == "(":
+                stack.pop()
+                freed += 1
+                if stars > freed:
+                    break
+        else:
             return
-        a[i] -= 1
-        a[i + 1 :] = [rest + 1] + [0] * (n - i - 1)
+        # Innermost first, the first "*." is the innermost waiting node's.
+        chain = "*" + "(" * freed + "." + "*.)" * freed
+        text = text[:p] + "." + "".join(reversed(stack)).replace("*.", chain, 1)
 
 
 def enumerate_shapes(n: int, cap: int = ENUMERATION_CAP) -> list[Term]:

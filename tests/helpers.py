@@ -6,9 +6,10 @@ tests can compare the two sides; they are only meant for small terms.
 ``sigma_counts`` and ``ballot_counts`` count shapes by ``sigma`` and by
 ``d_rm`` with closed forms that the library does not compute.
 ``scan_successors`` reads each word's rotations bit by bit, the reference for
-the oracle's recurrence.  The reference strategies replay each step the slow,
-obvious way.  The relabelling copies and the large shape generators at the end
-are iterative.
+the oracle's recurrence, and ``texts_in_order`` lists the shapes of one size
+by plain recursion, the reference for the ``enumerate`` command's successor.
+The reference strategies replay each step the slow, obvious way.  The
+relabelling copies and the large shape generators at the end are iterative.
 """
 
 from itertools import count
@@ -95,6 +96,26 @@ def scan_successors(w: int, nbits: int) -> list[int]:
                 out.append(w + (w & ((1 << (k - 1)) - (1 << prev))))
             prev = lows.pop()
     return out
+
+
+def shapes_up_to(m):
+    """Every shape of size at most ``m`` as ``(text, size)``, in text order.
+
+    A node's text is ``(left*right)``, and no text is a prefix of another, so
+    nodes sort by left subtree, of any smaller size, then by right subtree;
+    ``(`` sorts before ``.``, so the leaf comes last.  Lazy: each text is made
+    as it is yielded.
+    """
+    if m:
+        for left, i in shapes_up_to(m - 1):
+            for right, j in shapes_up_to(m - 1 - i):
+                yield f"({left}*{right})", i + j + 1
+    yield ".", 0
+
+
+def texts_in_order(n):
+    """Every shape of size ``n`` as its text, in text order, one at a time."""
+    return (text for text, size in shapes_up_to(n) if size == n)
 
 
 def naive_size(t):

@@ -13,6 +13,7 @@ import time
 import tracemalloc
 from collections import Counter, deque
 from contextlib import redirect_stdout
+from itertools import islice
 
 import pytest
 
@@ -27,6 +28,7 @@ from assocnf.oracle import (
     verify_sn,
     verify_unique_nf,
     verify_wcr,
+    _texts,
 )
 from assocnf.rewrite import (
     _step_texts,
@@ -504,6 +506,21 @@ def test_shape_print_peak_is_independent_of_the_shape_count():
     print(
         f"PASS print peak gate: enumerate peaks at {peaks[9]} B at n = 9 "
         f"and {peaks[11]} B at n = 11"
+    )
+
+
+def test_text_print_peak_is_linear_in_n():
+    # enumerate keeps only the text it last printed, so the peak over its
+    # first 50 lines grows with n, not with n squared: ten times the size
+    # stays within 11 times the peak
+    def first_lines(n):
+        deque(islice(_texts(n, n), 50), maxlen=0)
+
+    peaks = {n: _peak_bytes(first_lines, n) for n in (300, 3000)}
+    assert peaks[3000] <= 11 * peaks[300], peaks
+    print(
+        f"PASS text peak gate: enumerate's first 50 lines peak at {peaks[300]} B "
+        f"at n = 300 and {peaks[3000]} B at n = 3000"
     )
 
 

@@ -31,6 +31,7 @@ from assocnf.oracle import (
     _count,
     _join_measures,
     _split,
+    _texts,
 )
 from assocnf.rewrite import apply_at, find_redexes
 from assocnf.terms import (
@@ -54,6 +55,7 @@ from helpers import (
     random_shape,
     scan_successors,
     sigma_counts,
+    texts_in_order,
 )
 
 
@@ -103,6 +105,16 @@ def test_enumeration_shares_equal_subtrees():
         assert len(leaves) == 1, n
     # C(0) + ... + C(n-1), partial sums of OEIS A000108
     assert distinct == [1, 2, 4, 9, 23, 65, 197]
+
+
+def test_texts_match_a_plain_recursion():
+    # every shape up to n = 10, then the first 2000 lines of deep shapes,
+    # whose successors walk far back over the text
+    for n in range(11):
+        assert list(_texts(n, n)) == [t + "\n" for t in texts_in_order(n)], n
+    for n in (30, 40):
+        got = list(itertools.islice(_texts(n, n), 2000))
+        assert got == [t + "\n" for t in itertools.islice(texts_in_order(n), 2000)], n
 
 
 def test_enumeration_base_case():
