@@ -101,7 +101,11 @@ def _cmd_metrics(args: SimpleNamespace) -> int:
 
 def _cmd_enumerate(args: SimpleNamespace) -> int:
     if args.count_only:
-        print(_count(args.n, args.cap))
+        # Imported here: only a count needs it.  An int past 4,300 digits
+        # (n >= 7153) refuses str(); a Decimal has no such limit.
+        from decimal import Decimal
+
+        print(Decimal(_count(args.n, args.cap)))
     else:
         # One line at a time, so no shape is held.
         sys.stdout.writelines(_texts(args.n, args.cap))

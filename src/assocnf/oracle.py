@@ -21,11 +21,11 @@ bits, most significant first, 0 for a node and 1 for a leaf.  Two facts:
 Every shape list comes from one split recurrence, ``_split``, with a join
 per caller: :func:`enumerate_shapes` builds words and terms,
 :func:`build_graph` words, texts and amounts, and :func:`verify_all` words
-and measures.  The recurrence yields each size as it completes it, so
-``verify_all`` runs it once for every size.  It checks no cap; each caller
-checks its own.  The ``enumerate`` command holds no shape: ``_count`` is the
-Catalan number's closed form, and ``_texts`` steps from each text to the
-next in text order.
+and measures.  The recurrence yields each size in word order as it
+completes it, so no caller sorts, and ``verify_all`` runs it once for every
+size.  It checks no cap; each caller checks its own.  The ``enumerate``
+command holds no shape: ``_count`` is the Catalan number's closed form, and
+``_texts`` steps from each text to the next in text order.
 
 Node ``i`` is the ``i``-th word; edges are index tuples, and searches and
 checks run on indices.  Strings are made once per shape, for output: nodes
@@ -96,15 +96,16 @@ def _check_size(n: int, cap: int, kind: str) -> None:
 
 
 def _split(n: int, leaf, join) -> Iterator[list]:
-    """Every shape of each size ``0..n`` as an item, in split order.
+    """Every shape of each size ``0..n`` as an item, in word order.
 
     Left subtree of size ``i``, right of size ``n-1-i``, so the count follows
     the Catalan recurrence.  ``join(left, rights, shift, m)`` gives the size-m
     items over ``left``, one per item of ``rights`` (words ``shift`` bits).
-    Yields each size's list as the recurrence completes it, so one run serves
-    every size.  A caller may reorder a yielded list in place: larger sizes
-    then come out in another split order, but hold the same items.  It checks
-    no size: each caller checks its own cap first.
+    Items are ``(word, ...)`` tuples.  Each size's list is sorted by word as
+    the recurrence completes it, before it is yielded and before larger sizes
+    read it: with every smaller size in word order it arrives as one sorted
+    run per left-subtree size, which the sort merges.  One run serves every
+    size.  It checks no size: each caller checks its own cap first.
     """
     by_size = [[leaf]]
     yield by_size[0]
@@ -116,6 +117,7 @@ def _split(n: int, leaf, join) -> Iterator[list]:
             shift = 2 * (m - 1 - i) + 1
             for left in by_size[i]:
                 items += join(left, rights, shift, m)
+        items.sort(key=itemgetter(0))
         by_size.append(items)
         yield items
 
@@ -171,8 +173,7 @@ def _texts(n: int, cap: int) -> Iterator[str]:
 def enumerate_shapes(n: int, cap: int = ENUMERATION_CAP) -> list[Term]:
     """All unlabeled shapes with ``n`` internal nodes, sorted by canonical text.
 
-    Sorted on ``_split``'s words, which sort as the texts do.  Equal
-    subtrees are one object: each child is taken from one list of every
+    Equal subtrees are one object: each child is taken from one list of every
     smaller size's shapes, and every leaf is one ``Leaf``.
     """
     _check_size(n, cap, "enumeration")
@@ -182,7 +183,6 @@ def enumerate_shapes(n: int, cap: int = ENUMERATION_CAP) -> list[Term]:
         return [(high | rw, Node(lt, rt)) for rw, rt in rights]
 
     shapes = deque(_split(n, (1, Leaf(None)), join), maxlen=1).pop()
-    shapes.sort(key=itemgetter(0))
     return [t for _, t in shapes]
 
 
@@ -209,9 +209,6 @@ class RewriteGraph(namedtuple("RewriteGraph", "n nodes targets")):
     @property
     def edge_count(self) -> int:
         return sum(map(len, self.targets))
-
-    def sinks(self) -> list[str]:
-        return [u for u, vs in zip(self.nodes, self.targets) if not vs]
 
     @cached_property
     def _sweep(self) -> _Sweep | None:
@@ -279,7 +276,6 @@ def build_graph(n: int, cap: int = GRAPH_CAP) -> RewriteGraph:
         return [(high | rw, f"({lt}*{rt})", ra, ls) for rw, rt, ra, _ in rights]
 
     shapes = deque(_split(n, (1, ".", (), ()), join), maxlen=1).pop()
-    shapes.sort(key=itemgetter(0))
     index = {s[0]: i for i, s in enumerate(shapes)}
     targets = tuple(
         [tuple([index[w + a] for a in ra + ls]) for w, _, ra, ls in shapes]
@@ -376,21 +372,23 @@ def verify_all(n_max: int, cap: int = GRAPH_CAP) -> list[VerificationReport]:
     A report passes iff termination, local confluence and sink uniqueness
     hold, the path oracles match ``sigma`` and ``size - d_rm`` on every
     shape, and the maximal longest path is ``n(n-1)/2``, attained by the
-    left chain.  Raises ``ValueError`` if ``n_max`` is negative, and
+    left chain.  A graph with an edge that does not ascend gets no report:
+    the path lengths are read off the sweep that checks the edges, so it
+    raises ``ValueError`` first, and ``sn_ok`` is true in every report
+    returned.  Raises ``ValueError`` if ``n_max`` is negative, and
     :class:`CapExceeded` before building any graph if a size above ``cap``
     is asked for.
     """
     # Sizes 0..n_max hold one over the cap iff the first one over it,
     # the size build_graph would name, is at most n_max.
     _check_size(min(n_max, max(cap + 1, 0)), cap, "graph")
-    # One recurrence gives every size's measures, each list sorted in place
-    # into word order, as the graph's nodes are.
+    # One recurrence gives every size's measures, in word order, as the
+    # graph's nodes are.
     measures = _split(n_max, (1, 0, 0, 0), _join_measures)
     reports = []
     for n in range(n_max + 1):
         g = build_graph(n, cap=cap)
         shapes = next(measures)
-        shapes.sort(key=itemgetter(0))
         sweep = g._checked
         records = [
             TermRecord(key, size, sig, d_rm, longest, shortest)

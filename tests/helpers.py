@@ -118,6 +118,11 @@ def texts_in_order(n):
     return (text for text, size in shapes_up_to(n) if size == n)
 
 
+def sinks(g):
+    """The texts of a rewrite graph's nodes that have no successor."""
+    return [u for u, vs in zip(g.nodes, g.targets) if not vs]
+
+
 def naive_size(t):
     if isinstance(t, Leaf):
         return 0

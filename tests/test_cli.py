@@ -8,6 +8,8 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -213,6 +215,13 @@ def test_enumerate_count_only(capsys):
     assert out == "5\n"
 
 
+def test_enumerate_count_only_past_the_int_digit_limit(capsys):
+    # C(8000) has 4,811 digits, past the 4,300 that str() of an int allows
+    code, out, _ = run(capsys, "enumerate", "8000", "--count-only", "--cap", "8000")
+    assert code == 0
+    assert Decimal(out) == comb(16000, 8000) // 8001
+
+
 def test_enumerate_cap_exceeded(capsys):
     code, out, err = run(capsys, "enumerate", "15")
     assert code == 2
@@ -392,6 +401,23 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-n", "1")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_on_a_descending_edge_is_an_error_not_a_fail_row(tmp_path, capsys, monkeypatch):
+    # verify_all reads every path length off the sweep that checks the edges,
+    # so such a graph raises before any report is built; build_graph cannot
+    # make one, so a stand-in turns size 2's one edge around
+    def descending(n, cap):
+        g = build_graph(n, cap=cap)
+        return g._replace(targets=((), (0,))) if n == 2 else g
+
+    monkeypatch.setattr("assocnf.oracle.build_graph", descending)
+    records = tmp_path / "r.jsonl"
+    code, out, err = run(capsys, "verify", "--max-n", "3", "--records", str(records))
+    assert code == 2
+    assert out == ""
+    assert err == "error: the rewrite graph has an edge that does not ascend\n"
+    assert not records.exists()
 
 
 def test_graph_to_stdout(capsys):

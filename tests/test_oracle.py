@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from functools import cache
 from math import comb, factorial, prod
-from operator import le
+from operator import le, lt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,6 +55,7 @@ from helpers import (
     random_shape,
     scan_successors,
     sigma_counts,
+    sinks,
     texts_in_order,
 )
 
@@ -139,8 +140,15 @@ def test_word_order_is_canonical_order():
         assert len(set(texts)) == len(texts) == counts[n]
         assert texts == sorted(texts) == sorted(texts, key=preorder_word)
         *_, shapes = _split(n, (1, 0, 0, 0), _join_measures)
-        words = sorted(w for w, _, _, _ in shapes)
-        assert words == [preorder_word(x) for x in texts]
+        assert [w for w, _, _, _ in shapes] == [preorder_word(x) for x in texts]
+
+
+def test_split_yields_every_size_in_word_order():
+    # word order is the recurrence's own, so no caller sorts what it yields;
+    # CI checks n = 14, the enumeration cap
+    for n, shapes in enumerate(_split(11, (1, 0, 0, 0), _join_measures)):
+        words = [w for w, _, _, _ in shapes]
+        assert all(map(lt, words, words[1:])), n
 
 
 def test_word_kernel_matches_the_rewrite_rule():
@@ -180,7 +188,7 @@ def test_graph_n1():
     g = build_graph(1)
     assert g.nodes == ("(.*.)",)
     assert g.edge_count == 0
-    assert g.sinks() == ["(.*.)"]
+    assert sinks(g) == ["(.*.)"]
 
 
 def test_graph_n2():
@@ -199,7 +207,7 @@ def test_graph_n3_pentagon():
         "(.*((.*.)*.))": ["(.*(.*(.*.)))"],
         "(.*(.*(.*.)))": [],
     }
-    assert g.sinks() == [render(right_chain(3))]
+    assert sinks(g) == [render(right_chain(3))]
 
 
 @pytest.fixture(scope="module")
@@ -538,7 +546,7 @@ def test_unique_nf_holds_on_rewrite_graphs():
     for n in range(7):
         g = build_graph(n)
         assert verify_unique_nf(g)
-        assert g.sinks() == [render(right_chain(n))]
+        assert sinks(g) == [render(right_chain(n))]
 
 
 def test_unique_nf_base_case():
@@ -564,7 +572,7 @@ def test_unique_nf_rejects_sinkless_cycle():
 
 def test_unique_nf_rejects_a_cycle_that_misses_the_sink():
     g = RewriteGraph(n=-1, nodes=("a", "b", "c"), targets=((1,), (0,), ()))
-    assert g.sinks() == ["c"]
+    assert sinks(g) == ["c"]
     with pytest.raises(ValueError):
         verify_unique_nf(g)
 
