@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Normalize enormous left chains to show the linear-time shortest strategy.
 
-A left chain of n nodes needs exactly n - 1 rotations.  The normal form is
-built from the chain's leaves in one walk and the count is a closed form,
-so doubling the input roughly doubles the wall time.  The same chains also
-exercise the stack-safety guarantees: every walk below is iterative, so
-depth is limited by memory, not by the interpreter's recursion limit.
+A left chain of n nodes needs exactly n - 1 rotations.  The count is a
+closed form read from one walk, and reading ``trace.final`` builds the
+normal form from the chain's leaves in one more, so doubling the input
+roughly doubles the wall time.  The same chains also exercise the
+stack-safety guarantees: every walk below is iterative, so depth is
+limited by memory, not by the interpreter's recursion limit.
 """
 
 import time
@@ -28,8 +29,9 @@ def main():
         chain = left_chain(n)
         t0 = time.perf_counter()
         trace = normalize_shortest(chain)
+        final = trace.final
         elapsed = time.perf_counter() - t0
-        assert trace.final == right_chain(n)
+        assert final == right_chain(n)
         ratio = f"  ({elapsed / previous:.2f}x the previous n)" if previous else ""
         print(f"  {n:>9} {trace.step_count:>9} {elapsed:>8.3f}{ratio}")
         previous = elapsed

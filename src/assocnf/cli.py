@@ -38,7 +38,7 @@ from .oracle import (
     report_table,
     verify_all,
 )
-from .rewrite import STRATEGIES, _step_texts, format_position, normalize
+from .rewrite import STRATEGIES, _normal_form_text, _step_texts, format_position, normalize
 from .terms import ParseError, measure, parse, render
 
 __all__ = ["main"]
@@ -48,8 +48,9 @@ def _cmd_nf(args: SimpleNamespace) -> int:
     # Checked before any file is opened.
     if (args.term is None) == (args.file is None):
         raise ValueError("nf needs a term argument or --file, not both")
+    # Each term is kept with its text, from which its normal form prints.
     if args.file is None:
-        terms = [parse(args.term)]
+        terms = [(args.term, parse(args.term))]
     else:
         try:
             with open(args.file, encoding="utf-8") as fh:
@@ -62,12 +63,12 @@ def _cmd_nf(args: SimpleNamespace) -> int:
         for number, line in enumerate(lines, 1):
             if text := line.strip():
                 try:
-                    terms.append(parse(text))
+                    terms.append((text, parse(text)))
                 except ParseError as exc:
                     raise ValueError(f"{args.file} line {number}: {exc}") from None
-    for term in terms:
+    for text, term in terms:
         trace = normalize(term, "shortest")
-        print(f"{render(trace.final)}\tsteps={trace.step_count}")
+        print(f"{_normal_form_text(text)}\tsteps={trace.step_count}")
     return 0
 
 

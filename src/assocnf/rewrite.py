@@ -15,10 +15,12 @@ Two strategies are provided with exact step counts:
   runs in O(size) time and memory: the step count is ``sigma(t)`` and the
   normal form is unique, so neither needs the steps themselves.
 
-Neither rotates to reach the normal form: it is unique, so
-``_normal_form`` builds it straight from the leaves, and both step counts
-are closed forms.  Both return a :class:`Trace` that holds the start term,
-the normal form and the step count, never the intermediate terms.
+Neither builds or rotates anything: both step counts are closed forms
+read from one :func:`measure` walk, and both return a :class:`Trace` that
+holds the start term, the strategy and the step count, never the normal
+form or an intermediate term.  The normal form is unique, so
+``Trace.final`` builds it from the start's leaves (``_normal_form``) each
+time it is read.
 Replaying a trace reads ``render(start)`` once (``_rotations``): a rotation
 keeps the in-order order of leaves and nodes, so each step is a fixed set
 of in-order numbers of the start, and both strategies' steps come in closed
@@ -30,7 +32,9 @@ leaf)``.  The ``steps`` view turns those positions into terms with
 renders the start once and prints the trace from the pieces of that text
 split at ``*`` (``_step_texts``): a rotation moves one ``(`` and one ``)``
 of the text, so each step costs four chunk edits and one join, and
-printing the steps builds no term at all.
+printing the steps builds no term at all.  ``nf`` prints the normal form
+from the input's text (``_normal_form_text``), so it builds no term
+beyond the one :func:`~assocnf.terms.parse` builds.
 
 :func:`apply_at` is the only code that rotates a term; the ``steps`` view
 calls it.
@@ -45,7 +49,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .terms import Leaf, Node, Term, _check_term, render, sigma
+from .terms import _WS, Leaf, Node, Term, _check_term, measure, render, sigma
 
 __all__ = [
     "Position",
@@ -103,16 +107,22 @@ class Step(namedtuple("Step", "position term_after")):
     __slots__ = ()
 
 
-class Trace(namedtuple("Trace", "start final strategy step_count")):
-    """A rewrite sequence from ``start`` to its normal form ``final``.
+class Trace(namedtuple("Trace", "start strategy step_count")):
+    """A rewrite sequence from ``start`` to its normal form :attr:`final`.
 
-    Holds no intermediate term and no position: ``step_count`` is stored,
-    and :attr:`steps` is a read-only view that replays the sequence from
+    Holds no term but ``start`` and no position: ``step_count`` is stored,
+    :attr:`final` is built from ``start`` each time it is read, and
+    :attr:`steps` is a read-only view that replays the sequence from
     ``start`` with :func:`apply_at` each time it is iterated, so keeping a
-    trace costs nothing beyond ``start`` and ``final``.
+    trace costs nothing beyond ``start``.
     """
 
     __slots__ = ()
+
+    @property
+    def final(self) -> Term:
+        """The normal form, built anew on each read: O(size) time and memory."""
+        return _normal_form(self.start)
 
     @property
     def steps(self) -> Steps:
@@ -201,8 +211,8 @@ def apply_at(t: Term, p: Position) -> Term:
     return result
 
 
-def _normal_form(t: Term) -> tuple[Term, int]:
-    """The normal form of ``t`` and ``size(t) - depth_rightmost(t)``.
+def _normal_form(t: Term) -> Term:
+    """The normal form of ``t``, which only :attr:`Trace.final` reads.
 
     The normal form is the right chain over ``t``'s own ``Leaf`` objects in
     order, so it is built from the last leaf up, one ``Node`` per leaf
@@ -211,8 +221,7 @@ def _normal_form(t: Term) -> tuple[Term, int]:
     normal form and is returned as it is.  Otherwise each owed subtree, the
     last owed first, is walked down its right spine in the same way, and
     the leaf where that walk ends is the next leaf to hang on the chain.
-    These walks pass every node off the root's right spine once, so they
-    count ``size - d_rm``.  O(size(t)) time and memory at any depth.
+    O(size(t)) time and memory at any depth.
     """
     _check_term(t)
     owed: list[Term] = []
@@ -221,16 +230,15 @@ def _normal_form(t: Term) -> tuple[Term, int]:
         owed.append(x.left)
         x = x.right
     if all(isinstance(y, Leaf) for y in owed):
-        return t, 0
-    chain, off_spine = x, 0
+        return t
+    chain = x
     while owed:
         y = owed.pop()
         while isinstance(y, Node):
             owed.append(y.left)
             y = y.right
-            off_spine += 1
         chain = Node(y, chain)
-    return chain, off_spine
+    return chain
 
 
 def _rotations(strategy: str, text: str) -> Iterator[tuple[Position, int, int, int, int]]:
@@ -347,17 +355,35 @@ def _step_texts(strategy: str, text: str) -> Iterator[tuple[Position, str]]:
         yield p, "*".join(chunks)
 
 
+_PARENS_AND_WS = str.maketrans("", "", "()" + "".join(_WS))
+
+
+def _normal_form_text(text: str) -> str:
+    """``render`` of the normal form of the term that ``parse`` read from ``text``.
+
+    The normal form is the right chain over the same leaves in order, and
+    the text lists them in order between its ``*``s, so the text with its
+    parentheses and whitespace deleted, split at ``*``, gives the leaves.
+    ``text`` must be text ``parse`` accepted; nothing is checked here.
+    """
+    leaves = text.translate(_PARENS_AND_WS).split("*")
+    last = leaves.pop()
+    if not leaves:
+        return last
+    return "(" + "*(".join(leaves) + "*" + last + ")" * len(leaves)
+
+
 def normalize_shortest(t: Term) -> Trace:
     """Normalize by rotating as close to the root as possible.
 
     Takes exactly ``size(t) - depth_rightmost(t)`` steps, each fired at the
     shallowest redex on the root's right spine, and each pushing the
-    rightmost leaf one edge deeper.  The normal form and that count come
-    from one walk (``_normal_form``) with no rotation: O(size(t)) time and
-    memory.
+    rightmost leaf one edge deeper.  That count comes from one
+    :func:`measure` walk, with no rotation and no node built: O(size(t))
+    time, and no memory but the walk's stack.
     """
-    final, step_count = _normal_form(t)
-    return Trace(t, final, "shortest", step_count)
+    m = measure(t)
+    return Trace(t, "shortest", m.size - m.d_rm)
 
 
 def normalize_longest(t: Term) -> Trace:
@@ -366,10 +392,10 @@ def normalize_longest(t: Term) -> Trace:
     The chosen redex always has a leaf as its left-left subtree, so every
     step lowers ``sigma`` by exactly 1 and the trace has exactly
     ``sigma(t)`` steps: the longest rewrite sequence that exists for ``t``.
-    The normal form is unique, so it is built from the leaves as for the
-    shortest strategy, with no rotation: O(size(t)) time and memory.
+    That count comes from one :func:`measure` walk, with no rotation and no
+    node built, as for the shortest strategy.
     """
-    return Trace(t, _normal_form(t)[0], "longest", sigma(t))
+    return Trace(t, "longest", sigma(t))
 
 
 STRATEGIES = ("shortest", "longest")

@@ -29,7 +29,6 @@ __all__ = [
     "size",
     "sigma",
     "depth_rightmost",
-    "is_normal_form",
     "left_chain",
     "right_chain",
     "measure",
@@ -310,15 +309,6 @@ def depth_rightmost(t: Term) -> int:
         t = t.right
         d += 1
     return d
-
-
-def is_normal_form(t: Term) -> bool:
-    """True iff ``t`` has no redex, i.e. it is a pure right chain.
-
-    Normal forms are exactly the terms whose rightmost leaf sits at depth
-    ``size(t)``; both numbers come from the one walk of :func:`measure`.
-    """
-    return measure(t).is_nf
 
 
 def left_chain(n: int) -> Term:

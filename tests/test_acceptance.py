@@ -318,16 +318,20 @@ def test_allocation_counts_are_linear(family, n, constructions):
         constructions.clear()
         t = parse(source)
         assert constructions == {"Node": n, "Leaf": labels}, source[:40]
-    # the normal form is one new node per node over t's own leaves, and a
+    # a strategy only counts, so it builds nothing; reading final builds
+    # the normal form, one new node per node over t's own leaves, and a
     # term already in normal form is returned as it is
     built = {} if family == "right_chain" else {"Node": n}
     for normalize in (normalize_shortest, normalize_longest):
         constructions.clear()
-        normalize(t)
-        assert constructions == built, normalize.__name__
+        trace = normalize(t)
+        assert constructions == {}, normalize.__name__
+        final = trace.final
+        assert constructions == built and size(final) == n, normalize.__name__
     print(
         f"PASS allocation gate: {family} of {n} nodes parses with {n} nodes "
-        f"and one leaf per label, normalizes with {built.get('Node', 0)} nodes"
+        f"and one leaf per label, normalizes with none, and its final has "
+        f"{built.get('Node', 0)} new nodes"
     )
 
 
@@ -338,10 +342,11 @@ def test_allocation_counts_are_linear(family, n, constructions):
 # 3.10 to 3.12 of the render that prints a right-spine node as three shared
 # strings.  The gate allows 15% over them, for hash as well, which hashes
 # render's text; measure and == have no reference, since their stacks stay
-# small on every family here.  The normalizations' references are Python
-# 3.11 readings, the larger of the two strategies: the normal form's own
-# nodes, 48 bytes each, or on right_chain, which is its own normal form,
-# only the list of left subtrees owed along the root's right spine.
+# small on every family here, and neither have the strategies, which only
+# count with measure.  The references of reading a trace's final are
+# Python 3.11 readings: the normal form's own nodes, 48 bytes each, or on
+# right_chain, which is its own normal form, only the list of left
+# subtrees owed along the root's right spine.
 PARSE_PEAK_REFERENCE = 48.3
 RENDER_PEAK_REFERENCE = {
     "comb": 31.7,
@@ -357,6 +362,10 @@ NORMALIZE_PEAK_REFERENCE = {
     "right_chain": 9.2,
     "spine_over_chains": 48.4,
 }
+
+
+def _read_final(trace):
+    return trace.final
 
 
 def _peak_bytes(fn, arg):
@@ -387,8 +396,9 @@ def test_term_walk_peaks_are_linear(family, n):
         measure: (t, 1.0),
         hash: (t, 1.15 * RENDER_PEAK_REFERENCE[family]),
         t.__eq__: (parse(text), 2.0),
-        normalize_shortest: (t, 1.15 * NORMALIZE_PEAK_REFERENCE[family]),
-        normalize_longest: (t, 1.15 * NORMALIZE_PEAK_REFERENCE[family]),
+        normalize_shortest: (t, 1.0),
+        normalize_longest: (t, 1.0),
+        _read_final: (normalize_shortest(t), 1.15 * NORMALIZE_PEAK_REFERENCE[family]),
     }
     peaks = {}
     for fn, (arg, bound) in bounds.items():

@@ -183,6 +183,34 @@ def test_trace_quiet(capsys):
     assert out == "steps=3\n"
 
 
+def test_nf_and_trace_build_no_normal_form(tmp_path, capsys, monkeypatch):
+    # nf prints the normal form from its input's text and trace from the
+    # start's, so neither reads a trace's final
+    path = tmp_path / "terms.txt"
+    path.write_text(f"{SPINE_TERM}\n\n(((a*b)*c)*d)\n", encoding="utf-8")
+    spine_nf = "(a*(b*(c*(d*(e*(f*(g*(h*i))))))))"
+    argvs = [("nf", SPINE_TERM), ("nf", "--file", str(path))]
+    argvs += [
+        ("trace", *quiet, "--strategy", strategy, SPINE_TERM)
+        for strategy in STRATEGIES
+        for quiet in ((), ("--quiet",))
+    ]
+    expected = [run(capsys, *argv) for argv in argvs]
+    assert expected[:2] == [
+        (0, f"{spine_nf}\tsteps=4\n", ""),
+        (0, f"{spine_nf}\tsteps=4\n(a*(b*(c*d)))\tsteps=2\n", ""),
+    ]
+
+    def refuse(t):
+        raise AssertionError("a normal form was built")
+
+    monkeypatch.setattr(rewrite, "_normal_form", refuse)
+    assert [run(capsys, *argv) for argv in argvs] == expected
+    assert all(code == 0 for code, _, _ in expected)
+    printed = expected[2::2]
+    assert [out.splitlines()[-2] for _, out, _ in printed] == [f"final {spine_nf}"] * 2
+
+
 def test_metrics_example(capsys):
     code, out, _ = run(capsys, "metrics", "(((a*b)*c)*d)")
     assert code == 0

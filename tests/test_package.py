@@ -11,7 +11,7 @@ import assocnf
 def test_exported_names_are_unchanged():
     assert set(assocnf.__all__) == {
         "Term", "Leaf", "Node", "Metrics", "ParseError", "parse", "render",
-        "size", "sigma", "depth_rightmost", "is_normal_form", "left_chain",
+        "size", "sigma", "depth_rightmost", "left_chain",
         "right_chain", "measure",
         "Position", "RewriteError", "InvalidPosition", "NotARedex", "Step",
         "Trace", "format_position", "find_redexes", "apply_at",

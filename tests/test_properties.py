@@ -1,10 +1,15 @@
 """Hypothesis-based invariants over randomly generated terms."""
 
+import io
 import re
+from contextlib import redirect_stdout
 
 from hypothesis import given, strategies as st
 
+from assocnf.cli import main
 from assocnf.rewrite import (
+    _normal_form,
+    _normal_form_text,
     _step_texts,
     apply_at,
     find_redexes,
@@ -12,10 +17,10 @@ from assocnf.rewrite import (
     normalize_shortest,
 )
 from assocnf.terms import (
+    _WS,
     Leaf,
     Node,
     depth_rightmost,
-    is_normal_form,
     measure,
     parse,
     render,
@@ -66,7 +71,7 @@ def test_sigma_upper_bound(t):
 @given(terms)
 def test_normal_form_three_way_agreement(t):
     no_redex = find_redexes(t) == []
-    assert is_normal_form(t) == no_redex == (depth_rightmost(t) == size(t))
+    assert measure(t).is_nf == no_redex == (depth_rightmost(t) == size(t))
 
 
 @given(terms)
@@ -83,7 +88,7 @@ def test_step_law_at_every_redex(t):
 @given(terms)
 def test_single_shortest_step_grows_rightmost_depth(t):
     steps = list(normalize_shortest(t).steps)
-    assert (steps == []) == is_normal_form(t)
+    assert (steps == []) == measure(t).is_nf
     before = t
     for step in steps:
         assert step.term_after == apply_at(before, step.position)
@@ -96,7 +101,7 @@ def test_strategies_reach_the_same_normal_form(t):
     short = normalize_shortest(t)
     long = normalize_longest(t)
     assert short.final == long.final
-    assert is_normal_form(short.final)
+    assert measure(short.final).is_nf
     assert len(short.steps) == size(t) - depth_rightmost(t)
     assert len(long.steps) == sigma(t)
     assert len(short.steps) <= len(long.steps)
@@ -141,3 +146,28 @@ def test_step_texts_match_rendered_steps(t):
     for trace in (normalize_shortest(t), normalize_longest(t)):
         expected = [(s.position, render(s.term_after)) for s in trace.steps]
         assert list(_step_texts(trace.strategy, render(trace.start))) == expected
+
+
+def _nf_output(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@given(terms, st.data())
+def test_normal_form_text_matches_the_built_normal_form(tmp_path_factory, t, data):
+    # a run of whitespace, maybe empty, on each side of every '(', '*' and ')'
+    gap = st.text("".join(sorted(_WS)), max_size=3)
+    pieces = re.split(r"([()*])", render(t))
+    text = "".join(
+        piece if i % 2 == 0 else data.draw(gap) + piece + data.draw(gap)
+        for i, piece in enumerate(pieces)
+    )
+    assert _normal_form_text(text) == render(_normal_form(parse(text)))
+    expected = _nf_output("nf", render(t))
+    assert _nf_output("nf", text) == expected
+    # a file holds one term per line, so its line breaks become spaces
+    path = tmp_path_factory.getbasetemp() / "nf_terms.txt"
+    path.write_text(re.sub("[\r\n]", " ", text) + "\n", encoding="utf-8")
+    assert _nf_output("nf", "--file", str(path)) == expected

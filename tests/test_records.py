@@ -14,8 +14,7 @@ def test_reprs_name_every_field():
     trace = normalize(T, "longest")
     assert repr(measure(T)) == "Metrics(size=2, sigma=1, d_rm=1, is_nf=False)"
     assert repr(trace) == (
-        "Trace(start=parse('((a*b)*c)'), final=parse('(a*(b*c))'), "
-        "strategy='longest', step_count=1)"
+        "Trace(start=parse('((a*b)*c)'), strategy='longest', step_count=1)"
     )
     assert repr(next(iter(trace.steps))) == "Step(position='', term_after=parse('(a*(b*c))'))"
     assert repr(normalize(parse("(((a*b)*c)*d)"), "longest").steps) == "<3 longest steps>"
@@ -56,11 +55,13 @@ def test_fields_cannot_be_assigned(record, field):
 def test_records_are_tuples_of_their_fields():
     assert Step("R", T) == ("R", T)
     trace = normalize(T, "longest")
-    assert trace == (T, parse("(a*(b*c))"), "longest", 1)
-    start, _, _, step_count = trace
+    assert trace == (T, "longest", 1)
+    start, _, step_count = trace
     assert start is T and trace[-1] == step_count == 1
-    # len counts the fields, not the steps
-    assert len(trace) == 4 and len(trace.steps) == 1
+    # len counts the fields, not the steps; final is no field, but built
+    # from start when it is read
+    assert len(trace) == 3 and len(trace.steps) == 1
+    assert trace.final == parse("(a*(b*c))")
     # graphs compare and hash by value, not by identity
     assert build_graph(3) == build_graph(3)
     assert hash(build_graph(3)) == hash(build_graph(3))

@@ -23,7 +23,6 @@ from assocnf.rewrite import (
 from assocnf.terms import (
     Leaf,
     depth_rightmost,
-    is_normal_form,
     left_chain,
     measure,
     parse,
@@ -179,7 +178,7 @@ def test_step_shortest_increments_rightmost_depth():
     for t in all_shapes_upto(6):
         step = _first_shortest_step(t)
         if step is None:
-            assert is_normal_form(t)
+            assert measure(t).is_nf
         else:
             assert depth_rightmost(step.term_after) == depth_rightmost(t) + 1
 
@@ -214,7 +213,7 @@ def test_normalize_shortest_step_count_formula():
     for t in all_shapes_upto(7):
         trace = normalize_shortest(t)
         assert len(trace.steps) == size(t) - depth_rightmost(t)
-        assert is_normal_form(trace.final)
+        assert measure(trace.final).is_nf
 
 
 def test_normalize_longest_example():
@@ -253,7 +252,7 @@ def test_trace_replay_reproduces_every_term():
                 cur = apply_at(cur, step.position)
                 assert cur == step.term_after
             assert cur == trace.final
-            assert is_normal_form(trace.final)
+            assert measure(trace.final).is_nf
 
 
 def test_strategies_match_reference_step_by_step():
@@ -355,7 +354,7 @@ def test_steps_reversed_and_index_replay_once(monkeypatch):
 
 
 def test_steps_of_an_unknown_strategy_raise():
-    trace = Trace(parse(EXAMPLE), parse("(a*(b*(c*d)))"), "fastest", 3)
+    trace = Trace(parse(EXAMPLE), "fastest", 3)
     with pytest.raises(ValueError, match="unknown strategy 'fastest'"):
         list(trace.steps)
 
@@ -380,7 +379,6 @@ def test_normalize_dispatch():
         measure,
         size,
         sigma,
-        is_normal_form,
         depth_rightmost,
         find_redexes,
         normalize_shortest,

@@ -10,7 +10,6 @@ from assocnf.terms import (
     Node,
     ParseError,
     depth_rightmost,
-    is_normal_form,
     left_chain,
     measure,
     parse,
@@ -186,9 +185,9 @@ def test_depth_rightmost():
 
 
 def test_is_normal_form():
-    assert is_normal_form(Leaf())
-    assert is_normal_form(parse("(a*(b*(c*d)))"))
-    assert not is_normal_form(parse("((a*b)*(c*d))"))
+    assert measure(Leaf()).is_nf
+    assert measure(parse("(a*(b*(c*d)))")).is_nf
+    assert not measure(parse("((a*b)*(c*d))")).is_nf
 
 
 def test_chain_constructors():
@@ -197,8 +196,8 @@ def test_chain_constructors():
     assert render(left_chain(3)) == "(((.*.)*.)*.)"
     assert render(right_chain(3)) == "(.*(.*(.*.)))"
     assert size(left_chain(7)) == size(right_chain(7)) == 7
-    assert is_normal_form(right_chain(7))
-    assert not is_normal_form(left_chain(7))
+    assert measure(right_chain(7)).is_nf
+    assert not measure(left_chain(7)).is_nf
     for chain in (left_chain, right_chain):
         with pytest.raises(ValueError, match="chain size must be nonnegative"):
             chain(-1)
@@ -220,7 +219,8 @@ def test_measure_matches_components():
         assert m.size == size(t)
         assert m.sigma == sigma(t)
         assert m.d_rm == depth_rightmost(t)
-        assert m.is_nf == is_normal_form(t)
+        # a '(' opens a node, so '((' is a node whose left child is a node
+        assert m.is_nf == ("((" not in render(t))
         assert 0 <= m.d_rm <= m.size
         assert m.sigma <= m.size * (m.size - 1) // 2
 
@@ -261,11 +261,11 @@ def test_deep_chains_are_stack_safe():
     assert size(lc) == n
     assert sigma(lc) == n * (n - 1) // 2
     assert depth_rightmost(lc) == 1
-    assert not is_normal_form(lc)
+    assert not measure(lc).is_nf
     assert size(rc) == n
     assert sigma(rc) == 0
     assert depth_rightmost(rc) == n
-    assert is_normal_form(rc)
+    assert measure(rc).is_nf
 
 
 def test_deep_round_trip_is_stack_safe():
