@@ -21,20 +21,20 @@ holds the start term, the strategy and the step count, never the normal
 form or an intermediate term.  The normal form is unique, so
 ``Trace.final`` builds it from the start's leaves (``_normal_form``) each
 time it is read.
-Replaying a trace reads ``render(start)`` once (``_rotations``): a rotation
-keeps the in-order order of leaves and nodes, so each step is a fixed set
-of in-order numbers of the start, and both strategies' steps come in closed
-form from arrays built in one pass over that text; nothing is rotated,
-rebuilt or walked down per step.  The shortest steps are the preorder of
-the nodes off the root's right spine, each turned at ``R^(its first
-leaf)``.  The ``steps`` view turns those positions into terms with
-:func:`apply_at` each time it is iterated, O(size) per step.  The CLI
-renders the start once and prints the trace from the pieces of that text
-split at ``*`` (``_step_texts``): a rotation moves one ``(`` and one ``)``
-of the text, so each step costs four chunk edits and one join, and
-printing the steps builds no term at all.  ``nf`` prints the normal form
-from the input's text (``_normal_form_text``), so it builds no term
-beyond the one :func:`~assocnf.terms.parse` builds.
+Replaying a trace splits ``render(start)`` at ``*`` once (``_rotations``):
+a rotation keeps the in-order order of leaves and nodes, so each step is a
+fixed set of in-order numbers of the start, and both strategies' steps come
+in closed form from arrays built in one pass over those chunks; nothing is
+rotated, rebuilt or walked down per step.  The shortest steps are read off
+the first- and last-leaf arrays alone: each node off the root's right spine
+is turned once, at ``R^(its first leaf)``, by first leaf.  The ``steps``
+view turns those positions into terms with :func:`apply_at` each time it
+is iterated, O(size) per step.  The CLI renders the start once and prints
+the trace from the same chunks (``_step_texts``): a rotation moves one
+``(`` and one ``)`` of the text, so each step costs four chunk edits and
+one join, and printing the steps builds no term at all.  ``nf`` prints the
+normal form from the input's text (``_normal_form_text``), so it builds no
+term beyond the one :func:`~assocnf.terms.parse` builds.
 
 :func:`apply_at` is the only code that rotates a term; the ``steps`` view
 calls it.
@@ -148,7 +148,7 @@ class Steps:
 
     def __iter__(self) -> Iterator[Step]:
         cur = self._trace.start
-        for p, _, _, _, _ in _rotations(self._trace.strategy, render(cur)):
+        for p, _, _, _, _ in _rotations(self._trace.strategy, render(cur).split("*")):
             cur = apply_at(cur, p)
             yield Step(p, cur)
 
@@ -241,8 +241,9 @@ def _normal_form(t: Term) -> Term:
     return chain
 
 
-def _rotations(strategy: str, text: str) -> Iterator[tuple[Position, int, int, int, int]]:
-    """Each step of ``strategy`` from the term whose canonical text is ``text``.
+def _rotations(strategy: str, chunks: list[str]) -> Iterator[tuple[Position, int, int, int, int]]:
+    """Each step of ``strategy`` from the term whose canonical text, split at
+    ``*``, is ``chunks``.
 
     A step ``(position, lo, a, b, hi)`` rotates node ``b``, whose left child
     is node ``a``, over leaves ``lo..hi``.  Leaf ``j`` is the j-th leaf and
@@ -252,16 +253,18 @@ def _rotations(strategy: str, text: str) -> Iterator[tuple[Position, int, int, i
     off fixed arrays of the start: ``left``, ``right``, and the first leaf
     ``lo`` and last leaf ``hi`` of each node.  The nodes with ``hi == n``
     are the root's right spine.  Nodes are numbered by their place in the
-    text, not by identity, since terms share subtrees.
+    text, not by identity, since terms share subtrees.  ``chunks`` is read
+    only before the first step, so the caller may edit it from then on.
 
     * Shortest: a rotation at ``R^k`` moves onto the spine one node whose
       first leaf is ``k``, and changes no other off-spine node's first leaf
       or subtree.  So it turns each node off the spine once, each at
       ``R^(its first leaf)``, by first leaf ascending and, for one first
-      leaf, top-down.  That is the preorder of the off-spine nodes: a
-      node's left child has the node's first leaf, and its right subtree
-      starts after its left subtree.  One preorder walk from the root
-      yields them.
+      leaf, top-down.  The nodes whose first leaf is ``k`` are node ``k``,
+      if leaf ``k`` is its left child, and its chain of parents as a left
+      child; a left child ``a``'s parent is node ``hi[a]``, the node after
+      its last leaf, and has the same first leaf.  So ``lo`` and ``hi``
+      alone give the steps.
     * Longest: take the start's redexes deepest level first, left to right.
       When redex ``j`` at ``p`` is reached, the subterms below it are
       already right chains, so it fires at ``p, pR, ...``, once per node of
@@ -271,13 +274,15 @@ def _rotations(strategy: str, text: str) -> Iterator[tuple[Position, int, int, i
 
     O(size) work besides the positions themselves.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     left: list[int] = []  # child node numbers, -1 for a leaf
     right: list[int] = []
     # A '*' comes before every chunk but the first, and each ')' closes the
     # latest open node.  done holds the numbers of finished subtrees (-1 for
     # a leaf).
     done: list[int] = []
-    for chunk in text.split("*"):
+    for chunk in chunks:
         if done:
             left.append(done.pop())
             right.append(-1)
@@ -286,31 +291,25 @@ def _rotations(strategy: str, text: str) -> Iterator[tuple[Position, int, int, i
         for _ in range(len(chunk) - len(chunk.rstrip(")"))):
             child = done.pop()
             right[done[-1]] = child
-    # Built after the loop frees its chunk list, which lowers the peak; a
-    # right child comes after its parent.
+    del chunks  # a list only this replay holds is freed here
     n = len(left)
     hi = [0] * n
-    for i in reversed(range(n)):
+    for i in reversed(range(n)):  # a right child comes after its parent
         hi[i] = hi[right[i]] if right[i] >= 0 else i + 1
     lo: list[int] = []
     for i, child in enumerate(left):  # a left child comes before its parent
         lo.append(lo[child] if child >= 0 else i)
-    root = done[0]
     if strategy == "shortest":
-        # An off-spine node is the left child of the spine node after its
-        # last leaf.
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            if a < 0:
-                continue
-            if hi[a] < n:
-                yield "R" * lo[a], lo[a], a, hi[a], n
-            stack.append(right[a])
-            stack.append(left[a])
+        for k in range(n):
+            run, a = [], k
+            while a < n and lo[a] == k:
+                run.append(a)
+                a = hi[a]
+            for a in reversed(run):
+                if hi[a] < n:  # off the spine
+                    yield "R" * k, k, a, hi[a], n
         return
-    if strategy != "longest":
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    root = done[0]
     levels = []
     level = [root] if n else []
     while level:
@@ -335,11 +334,12 @@ def _step_texts(strategy: str, text: str) -> Iterator[tuple[Position, str]]:
     from the term whose canonical text is ``text``.
 
     Labels hold no ``*``, so ``text.split("*")`` gives one chunk per leaf:
-    the leaf with its ``(`` before and its ``)`` after.  A rotation at ``b``
-    with left child ``a`` over leaves ``lo..hi`` moves one ``(`` from leaf
-    ``lo`` to leaf ``a+1`` and one ``)`` from leaf ``b`` to leaf ``hi`` (see
-    :func:`_rotations`), so a step costs four chunk edits and one join, and
-    no term is built or rendered.
+    the leaf with its ``(`` before and its ``)`` after.  That one list is
+    what :func:`_rotations` reads its arrays from, before the first step,
+    and what the steps then edit.  A rotation at ``b`` with left child ``a``
+    over leaves ``lo..hi`` moves one ``(`` from leaf ``lo`` to leaf ``a+1``
+    and one ``)`` from leaf ``b`` to leaf ``hi``, so a step costs four chunk
+    edits and one join, and no term is built or rendered.
 
     Output-bound: every step yields a whole text, so the steps take
     Θ(steps × size) time and characters in all, up to Θ(size³) for the
@@ -347,7 +347,7 @@ def _step_texts(strategy: str, text: str) -> Iterator[tuple[Position, str]]:
     that keeps them all holds that many characters.
     """
     chunks = text.split("*")
-    for p, lo, a, b, hi in _rotations(strategy, text):
+    for p, lo, a, b, hi in _rotations(strategy, chunks):
         chunks[lo] = chunks[lo][1:]
         chunks[a + 1] = "(" + chunks[a + 1]
         chunks[b] = chunks[b][:-1]

@@ -51,8 +51,6 @@ class Term:
         return render(self)
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, Term):
             return NotImplemented
         # A pair of leaf children is compared in place and the walk goes on

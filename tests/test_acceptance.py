@@ -427,32 +427,32 @@ REPLAY_PEAK_CASES = [
 ]
 REPLAY_PEAK_REFERENCE = {
     ("_step_texts", "shortest"): {
-        "comb": 176.8,
-        "left_chain": 172.6,
-        "remy": 172.6,
-        "right_chain": 181.2,
-        "spine_over_chains": 172.7,
+        "comb": 165.4,
+        "left_chain": 170.5,
+        "remy": 161.1,
+        "right_chain": 154.2,
+        "spine_over_chains": 163.0,
     },
     ("_step_texts", "longest"): {
-        "comb": 196.7,
-        "left_chain": 196.2,
-        "remy": 150.1,
-        "right_chain": 182.7,
-        "spine_over_chains": 150.3,
+        "comb": 195.9,
+        "left_chain": 195.9,
+        "remy": 125.4,
+        "right_chain": 181.5,
+        "spine_over_chains": 123.7,
     },
     ("trace.steps", "shortest"): {
         "comb": 110.1,
         "left_chain": 89.3,
         "remy": 132.9,
-        "right_chain": 98.4,
+        "right_chain": 94.1,
         "spine_over_chains": 130.5,
     },
     ("trace.steps", "longest"): {
-        "comb": 216.7,
-        "left_chain": 216.2,
-        "remy": 164.8,
-        "right_chain": 120.5,
-        "spine_over_chains": 144.0,
+        "comb": 211.8,
+        "left_chain": 211.3,
+        "remy": 160.0,
+        "right_chain": 115.6,
+        "spine_over_chains": 139.2,
     },
 }
 REPLAYS = {

@@ -42,3 +42,31 @@ def test_cli_import_pulls_in_no_dataclasses_or_inspect():
         check=True,
     )
     assert done.stdout == "[]\n"
+
+
+def test_a_failing_property_test_prints_its_falsifying_example(tmp_path):
+    # under this config's warnings-as-errors, a failing hypothesis test must
+    # report its example, not end the run with INTERNALERROR
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_negative(x):\n"
+        "    assert x < 0\n"
+    )
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q",
+            "-c", str(Path(__file__).parents[1] / "pyproject.toml"),
+            "--rootdir", str(tmp_path), "-p", "no:cacheprovider",
+            "test_falsified.py",
+        ],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    output = done.stdout + done.stderr
+    assert done.returncode == 1, output
+    assert "Falsifying example" in output
+    assert "INTERNALERROR" not in output

@@ -279,7 +279,20 @@ def test_step_texts_match_rendered_steps():
 
 
 def _positions(strategy, t):
-    return [step[0] for step in _rotations(strategy, render(t))]
+    return [step[0] for step in _rotations(strategy, render(t).split("*"))]
+
+
+def test_rotations_read_their_chunks_only_before_the_first_step():
+    # _step_texts edits the chunk list it passes while the replay runs, so a
+    # later read of it would print wrong steps
+    for t in all_shapes_upto(7):
+        for strategy in ("shortest", "longest"):
+            expected = list(_rotations(strategy, render(t).split("*")))
+            chunks = render(t).split("*")
+            rotations = _rotations(strategy, chunks)
+            first = next(rotations, None)
+            chunks[:] = ["((x)"] * len(chunks)
+            assert [first, *rotations] == (expected or [None]), (render(t), strategy)
 
 
 def test_shortest_positions_match_the_first_leaf_counts():
